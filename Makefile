@@ -12,7 +12,7 @@ OLD ?= BENCH_old.json
 NEW ?= BENCH_new.json
 THRESHOLD ?= 0.2
 
-.PHONY: test api-check codegen-check smoke-instrument smoke-report chaos bench bench-overhead bench-smoke bench-compare fleet-bench events-check serve-check solver-check
+.PHONY: test api-check codegen-check smoke-instrument smoke-report chaos bench bench-overhead bench-smoke bench-compare bench-selftest fleet-bench events-check serve-check solver-check
 
 test: smoke-instrument api-check codegen-check  ## tier-1: instrumentation smoke, then the full suite
 	python -m pytest -x -q
@@ -58,6 +58,9 @@ solver-check:  ## solver zoo: cross-method agreement + chaos faults on geap/qrst
 
 bench-smoke:  ## fast benchmark subset -> BENCH_<stamp>.json at repo root
 	python -m repro.bench.harness --timeout 120
+
+bench-selftest:  ## repo benchmark (perfbench/) at a tiny size: metric names, checks, every layer exercised (~30 s)
+	python3 perfbench/selftest.py
 
 bench-compare:  ## regression gate: make bench-compare OLD=... NEW=...
 	python -m repro.cli bench-compare $(OLD) $(NEW) --threshold $(THRESHOLD)

@@ -7,8 +7,13 @@ converged lanes retire and are compacted away, and the eigenvalue is
 recovered from the update vector (``lambda = x . A x^{m-1}``) instead of
 a second contraction.  This bench pins the headline claim: on the target
 workload (64 tensors in R^[4,6], 32 shared starts) the fleet engine is
-at least 5x faster than looping ``multistart_sshopm`` over the tensors,
-while producing the same deduplicated spectra.
+at least 5x faster than looping the lockstep multistart solver over the
+tensors, while producing the same deduplicated spectra.
+
+``multistart_sshopm`` is itself an adapter over the fleet engine now, so
+the 5x floor is measured against the lockstep loop it replaced (kept as
+``tests.lockstep_reference``), the baseline the floor was defined on; the
+table also reports the fleet-backed per-tensor loop.
 """
 
 import time
@@ -21,6 +26,7 @@ from repro.core import multistart_sshopm
 from repro.engine import fleet_solve
 from repro.symtensor import random_symmetric_batch
 from repro.util.rng import make_rng
+from tests.lockstep_reference import lockstep_multistart
 
 T, M, N, V = 64, 4, 6, 32
 ALPHA, TOL, MAX_ITERS = 6.0, 1e-8, 300
@@ -41,10 +47,10 @@ def _run_fleet(batch, starts, variant):
                        max_iters=MAX_ITERS, variant=variant)
 
 
-def _run_loop(batch, starts):
+def _run_loop(batch, starts, solver=lockstep_multistart):
     return [
-        multistart_sshopm(batch[t], starts=starts, alpha=ALPHA, tol=TOL,
-                          max_iters=MAX_ITERS)
+        solver(batch[t], starts=starts, alpha=ALPHA, tol=TOL,
+               max_iters=MAX_ITERS)
         for t in range(len(batch))
     ]
 
@@ -62,9 +68,16 @@ def test_report_fleet_vs_loop(benchmark, workload):
     def run():
         t_loop, loop_res = time_once(lambda: _run_loop(batch, starts))
         rows, best = [], 0.0
-        rows.append(["looped multistart", f"{t_loop * 1e3:9.1f}",
+        rows.append(["looped lockstep multistart", f"{t_loop * 1e3:9.1f}",
                      f"{sum(int(r.converged.sum()) for r in loop_res)}/{T * V}",
                      "1.00x"])
+        t_adapter, adapter_res = time_once(
+            lambda: _run_loop(batch, starts, multistart_sshopm))
+        rows.append(["looped multistart_sshopm (fleet-backed)",
+                     f"{t_adapter * 1e3:9.1f}",
+                     f"{sum(int(r.converged.sum()) for r in adapter_res)}"
+                     f"/{T * V}",
+                     f"{t_loop / t_adapter:.2f}x"])
         fleet_results = {}
         for variant in ("vectorized", "unrolled", "unrolled_cse"):
             t_fleet, fr = time_once(lambda v=variant: _run_fleet(batch, starts, v))
@@ -92,7 +105,7 @@ def test_report_fleet_vs_loop(benchmark, workload):
     # the headline target: >= 5x with the best cached plan
     assert best >= TARGET_SPEEDUP, (
         f"fleet engine best speedup {best:.2f}x below target "
-        f"{TARGET_SPEEDUP}x over looped multistart_sshopm"
+        f"{TARGET_SPEEDUP}x over the looped lockstep multistart"
     )
 
     # same spectra as the reference path, within dedup tolerance

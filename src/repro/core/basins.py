@@ -4,7 +4,7 @@ The paper: "there are still many open problems regarding choice of starting
 vector ... and finding eigenpairs with certain properties."  Multistart
 coverage depends on the basins of attraction of the shifted iteration; this
 module maps them: a (near-)uniform grid of starting vectors on the sphere
-is run through lockstep SS-HOPM and each start is labeled with the eigenpair
+is run through batched multistart SS-HOPM and each start is labeled with the eigenpair
 it reaches.  The result quantifies how many random starts are needed to
 find everything (basin fractions -> coupon-collector estimates) and renders
 an ASCII map of the sphere for n = 3.

@@ -42,7 +42,7 @@ class SolveConfig:
     alpha : SS-HOPM shift (ignored by the adaptive solver, which derives
         its shift per step).
     tol : convergence threshold on ``|lambda_{k+1} - lambda_k|``.
-    max_iters : iteration / lockstep-sweep cap.
+    max_iters : iteration / sweep cap.
     num_starts : starting vectors per tensor (multistart drivers).
     scheme : starting-vector scheme (``"random"`` / ``"fibonacci"``).
     kernels : per-tensor kernel variant name or pair (single-start drivers).

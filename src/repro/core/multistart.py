@@ -2,10 +2,17 @@
 
 The full problem (Section V): for every tensor in a batch, run SS-HOPM from
 ``V`` starting vectors.  On the GPU this is one thread per (tensor, vector)
-pair; here every pair advances in lockstep through vectorized kernels, with
-a convergence mask freezing finished pairs (the SIMT analog: a converged
-thread still occupies its lane but does no further useful work — we simply
-stop updating it).
+pair.  Here :func:`multistart_sshopm` is a thin adapter over the fleet
+engine (:func:`repro.engine.fleet.fleet_solve`): each pair is one lane,
+a lane retires the sweep it converges or dies, and the working set is
+compacted so kernel work tracks the live lanes.  One ``A x^{m-1}`` kernel
+call per sweep drives both the update and ``lambda = x . A x^{m-1}``.
+Stopping lanes independently is safe because each start's SS-HOPM
+sequence is independent of the others.
+
+On the GPU a converged thread still occupies its warp until the warp's
+slowest thread finishes.  That SIMT lockstep cost is modelled separately,
+from the per-lane ``result.iterations``, in :mod:`repro.gpu.warps`.
 
 Every thread block shares the same starting-vector set, exactly as in the
 paper ("every thread block can use the same set of starting vectors").
@@ -13,21 +20,21 @@ paper ("every thread block can use the same set of starting vectors").
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
 from repro.core.results import warn_renamed_field
-from repro.instrument import current_recorder, gauge as _gauge
+from repro.instrument import gauge as _gauge
 from repro.instrument import span as _span
 from repro.instrument.metrics import observe_solver_run
-from repro.instrument.telemetry import ConvergenceTelemetry, telemetry_enabled
+from repro.instrument.telemetry import ConvergenceTelemetry
 from repro.kernels.dispatch import get_kernels
+from repro.kernels.plan import KernelPlan
 from repro.resilience.guards import SolveFailure, record_solve_failure, resolve_guards
 from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
-from repro.util.flopcount import FlopCounter, null_counter
+from repro.util.flopcount import FlopCounter
 from repro.util.rng import fibonacci_sphere, random_unit_vectors
 
 __all__ = ["MultistartResult", "multistart_sshopm", "starting_vectors"]
@@ -45,8 +52,8 @@ class MultistartResult:
     eigenvalues : ``(T, V)`` final ``lambda`` per (tensor, start).
     eigenvectors : ``(T, V, n)`` final unit vectors.
     converged : ``(T, V)`` bool.
-    iterations : ``(T, V)`` iterations until each pair froze.
-    sweeps : lockstep iteration sweeps executed (max over pairs);
+    iterations : ``(T, V)`` iterations until each pair retired.
+    sweeps : iteration sweeps executed (max over pairs);
         ``total_sweeps`` is the deprecated pre-1.2 spelling.
     telemetry : per-sweep aggregate convergence stream
         (:class:`~repro.instrument.telemetry.ConvergenceTelemetry`; mean
@@ -164,7 +171,8 @@ def multistart_sshopm(
     guards=None,
     max_iter: int | None = None,
 ) -> MultistartResult:
-    """Run SS-HOPM for every (tensor, starting vector) pair in lockstep.
+    """Run SS-HOPM for every (tensor, starting vector) pair on the fleet
+    engine, retiring each pair as soon as it converges or dies.
 
     Parameters
     ----------
@@ -174,7 +182,7 @@ def multistart_sshopm(
     alpha : shift, as in :func:`repro.core.sshopm.sshopm` (default 0).
     tol : per-pair convergence threshold on ``|delta lambda|``
         (default ``1e-10``).
-    max_iters : lockstep sweep cap (default 500; ``max_iter=`` is the
+    max_iters : sweep cap per pair (default 500; ``max_iter=`` is the
         deprecated spelling).
     starts : optional explicit ``(V, n)`` start set shared by all tensors.
     scheme : start generation scheme when ``starts`` is None
@@ -189,8 +197,10 @@ def multistart_sshopm(
         general-vs-unrolled comparison.
     dtype : compute precision; the paper uses single precision
         (``np.float32``) on the GPU, float64 by default here.
-    counter : optional flop counter (charged per active sweep).  When a
-        recorder is active the same charges also land on the trace.
+    counter : optional flop counter, charged per live lane: each sweep
+        charges the kernel and the ``x . y`` dot for the lanes still
+        iterating, not for retired ones.  When a recorder is active the
+        same charges also land on the trace.
     config : a :class:`~repro.core.config.SolveConfig` supplying defaults
         for any option not passed explicitly.
     telemetry : record a per-sweep aggregate convergence stream on the
@@ -199,16 +209,18 @@ def multistart_sshopm(
     guards : ``True`` or a :class:`~repro.resilience.guards.GuardConfig`
         raises a structured :class:`~repro.resilience.guards.SolveFailure`
         when *every* lane dies numerically (total collapse — nothing
-        recoverable).  Individual dead lanes are always tolerated, frozen,
+        recoverable).  Individual dead lanes are always tolerated, retired,
         and reported via the result's ``failed`` mask.
 
     Notes
     -----
-    Converged pairs are frozen: their ``x`` stops updating, so later sweeps
-    cannot drift them off the fixed point.  A pair whose update collapses to
-    the zero vector (possible with alpha=0) is frozen unconverged and
-    flagged in ``result.failed``; the dead-lane count lands on the
-    ``repro_multistart_dead_lanes_total`` metric.
+    Converged pairs retire with the iterate they converged at, so later
+    sweeps cannot drift them off the fixed point.  A pair whose update
+    collapses to the zero vector (possible with alpha=0) retires
+    unconverged with its last finite iterate and is flagged in
+    ``result.failed`` (its ``iterations`` counts the sweep it died in); the
+    dead-lane count lands on the ``repro_multistart_dead_lanes_total``
+    metric.
     """
     max_iters = reconcile_max_iters(max_iters, max_iter)
     num_starts = resolve_option("num_starts", num_starts, config, 128)
@@ -221,138 +233,39 @@ def multistart_sshopm(
     rng = resolve_option("rng", rng, config, None)
     guards = resolve_guards(resolve_option("guards", guards, config, None))
 
+    from repro.engine.fleet import _run_fleet  # the engine imports this module
+
     if isinstance(tensors, SymmetricTensor):
         tensors = SymmetricTensorBatch(tensors.values[None, :], tensors.m, tensors.n)
-    counter = counter or null_counter()
-    recorder = current_recorder()
-    if recorder is not None:
-        counter = recorder.flop_counter(mirror=counter)
     m, n = tensors.m, tensors.n
     T = len(tensors)
-
-    if starts is None:
-        starts = starting_vectors(num_starts, n, scheme=scheme, rng=rng, dtype=dtype)
-    else:
-        starts = np.asarray(starts, dtype=dtype)
-        if starts.ndim != 2 or starts.shape[1] != n:
-            raise ValueError(f"starts must have shape (V, {n}), got {starts.shape}")
-        norms = np.linalg.norm(starts, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ValueError("starting vectors must be nonzero")
-        starts = starts / norms
-    V = starts.shape[0]
-
     suite = get_kernels(backend, m, n, batched=True)
-    if recorder is None:
-        kernels_ax_m = lambda a, x: suite.ax_m(a, x, counter=counter)  # noqa: E731
-        kernels_ax_m1 = lambda a, x: suite.ax_m1(a, x, counter=counter)  # noqa: E731
-    else:
-        from repro.instrument.kernels import kernel_cost_model
+    plan = KernelPlan(m=m, n=n, variant=suite.name, tables=None, suite=suite,
+                      build_seconds=0.0)
 
-        scalar_span = f"kernel.{suite.name}.ax_m"
-        vector_span = f"kernel.{suite.name}.ax_m1"
-        cost = kernel_cost_model(m, n)
-        item = np.dtype(dtype).itemsize
-        bytes_scalar = (cost["loads"] + cost["stores_scalar"]) * item
-        bytes_vector = (cost["loads"] + cost["stores_vector"]) * item
-
-        def kernels_ax_m(a, x):
-            with _span(scalar_span):
-                y = suite.ax_m(a, x, counter=counter)
-                recorder.add("bytes", T * V * bytes_scalar)
-            return y
-
-        def kernels_ax_m1(a, x):
-            with _span(vector_span):
-                y = suite.ax_m1(a, x, counter=counter)
-                recorder.add("bytes", T * V * bytes_vector)
-            return y
-
+    with _span("multistart_sshopm"):
+        # guards=False: total collapse is judged (and raised) below under
+        # this solver's name; per-lane deaths are retired either way
+        res, seconds = _run_fleet(
+            tensors, num_starts, alpha, tol, max_iters, starts, scheme,
+            dtype=dtype, rng=rng, counter=counter, plan=plan,
+            telemetry=telemetry, guards=False)
+    V = res.eigenvalues.shape[1]
     _gauge("multistart.tensors", T)
     _gauge("multistart.starts", V)
     _gauge("multistart.backend", suite.name)
     _gauge("multistart.shape", [m, n])
 
-    tel = None
-    if telemetry_enabled(telemetry, recorder):
-        tel = ConvergenceTelemetry(
-            "multistart_sshopm",
-            meta={"tensors": T, "starts": V, "alpha": alpha,
-                  "backend": suite.name, "shape": [m, n]},
-        )
-
-    t0 = time.perf_counter()
-    with _span("multistart_sshopm"):
-        values = tensors.values.astype(dtype)[:, None, :]  # (T, 1, U)
-        x = np.broadcast_to(starts[None, :, :], (T, V, n)).astype(dtype).copy()
-        lam = np.asarray(kernels_ax_m(values, x), dtype=dtype)  # (T, V)
-
-        active = np.ones((T, V), dtype=bool)
-        converged = np.zeros((T, V), dtype=bool)
-        iterations = np.zeros((T, V), dtype=np.int64)
-        failed = np.zeros((T, V), dtype=bool)
-        sweeps = 0
-        sign = -1.0 if alpha < 0 else 1.0
-
-        for _ in range(max_iters):
-            if not active.any():
-                break
-            sweeps += 1
-            with _span("sweep"):
-                y = np.asarray(kernels_ax_m1(values, x))
-                x_new = y + alpha * x if alpha != 0.0 else y
-                if sign < 0:
-                    x_new = -x_new
-                norms = np.linalg.norm(x_new, axis=-1)
-                dead = active & ((norms == 0) | ~np.isfinite(norms))
-                failed |= dead
-                safe = np.where(norms > 0, norms, 1.0)
-                x_next = x_new / safe[..., None]
-                # freeze inactive and dead pairs at their current iterate
-                upd = active & ~dead
-                if tel is not None and upd.any():
-                    # residual/step at the pre-update iterate (y = A x^{m-1})
-                    resid_now = np.linalg.norm(
-                        y - lam[..., None] * x, axis=-1)[upd]
-                    step_now = np.linalg.norm(x_next - x, axis=-1)[upd]
-                x[upd] = x_next[upd]
-                lam_new = np.asarray(kernels_ax_m(values, x), dtype=dtype)
-                just_converged = upd & (np.abs(lam_new - lam) < tol)
-                lam = np.where(upd, lam_new, lam)
-                iterations[upd] += 1
-                converged |= just_converged
-                if tel is not None and upd.any():
-                    tel.append(
-                        sweeps, float(lam_new[upd].mean()),
-                        residual=float(resid_now.max()),
-                        shift=alpha,
-                        step_norm=float(step_now.mean()),
-                        active=int(upd.sum()),
-                    )
-                active &= ~(just_converged | dead)
-
-        with _span("residuals"):
-            residual_vec = kernels_ax_m1(values, x) - lam[..., None] * x
-            residuals = np.linalg.norm(residual_vec, axis=-1)
-            # guard against pairs that froze on a non-fixed point being
-            # marked good
-            converged &= np.isfinite(residuals)
-            failed |= ~np.isfinite(lam) | ~np.isfinite(residuals)
-
+    tel = res.telemetry
     if tel is not None:
-        finite = residuals[np.isfinite(residuals)]
-        tel.append(
-            sweeps, float(lam.mean()),
-            residual=float(finite.max()) if finite.size else float("nan"),
-            shift=alpha,
-            active=int(active.sum()),
-            force=True,
-        )
-        if recorder is not None:
-            recorder.add_telemetry(tel)
-    observe_solver_run("multistart_sshopm", time.perf_counter() - t0,
-                       iterations, int(converged.sum()), T * V)
-    dead_lanes = int(failed.sum())
+        # the fleet already attached this stream to the active recorder;
+        # relabel it in place so traces keep the multistart stream
+        tel.name = "multistart_sshopm"
+        tel.meta = {"tensors": T, "starts": V, "alpha": alpha,
+                    "backend": suite.name, "shape": [m, n]}
+    observe_solver_run("multistart_sshopm", seconds, res.iterations,
+                       int(res.converged.sum()), T * V)
+    dead_lanes = int(res.failed.sum())
     if dead_lanes:
         from repro.instrument.metrics import get_registry
 
@@ -367,16 +280,16 @@ def multistart_sshopm(
             f"multistart_sshopm: all {T * V} lanes died numerically "
             f"(alpha={alpha})",
             solver="multistart_sshopm",
-            iteration=sweeps,
+            iteration=res.sweeps,
             telemetry=tel,
             details={"tensors": T, "starts": V},
         )
     return MultistartResult(
-        eigenvalues=lam,
-        eigenvectors=x,
-        converged=converged,
-        iterations=iterations,
-        sweeps=sweeps,
+        eigenvalues=res.eigenvalues.astype(dtype, copy=False),
+        eigenvectors=res.eigenvectors,
+        converged=res.converged,
+        iterations=res.iterations,
+        sweeps=res.sweeps,
         telemetry=tel,
-        failed=failed,
+        failed=res.failed,
     )

@@ -2,7 +2,7 @@
 
 Every solver result — :class:`~repro.core.sshopm.SSHOPMResult` (one
 tensor, one start), :class:`~repro.core.multistart.MultistartResult`
-(lockstep multistart), and :class:`FleetResult` (the fleet engine's
+(batched multistart), and :class:`FleetResult` (the fleet engine's
 whole-workload solve) — satisfies :class:`ResultProtocol`: it exposes
 ``converged``, ``telemetry``, and an ``eigenpairs()`` method producing
 deduplicated :class:`~repro.core.eigenpairs.Eigenpair` objects.  Code
@@ -75,7 +75,7 @@ class FleetResult:
     eigenvectors : ``(T, V, n)`` final unit vectors.
     converged : ``(T, V)`` bool — lanes that met the tolerance.
     iterations : ``(T, V)`` iterations until each lane retired.
-    sweeps : lockstep sweeps the engine executed (max over lanes).
+    sweeps : sweeps the engine executed (max over lanes).
     failed : ``(T, V)`` bool — lanes that died numerically (NaN/Inf or a
         collapsed update) and were retired without poisoning the batch.
     shifts : ``(T, V)`` final per-lane shift (differs from the initial

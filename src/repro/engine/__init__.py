@@ -1,6 +1,6 @@
 """Fleet solve engine: whole-workload batched SS-HOPM scheduling.
 
-One flat pool of (tensor, start) *lanes* advanced in lockstep through
+One flat pool of (tensor, start) *lanes* advanced sweep by sweep through
 plan-cached batched kernels, with immediate retirement of converged and
 dead lanes and periodic active-set compaction.  See
 :func:`repro.engine.fleet.fleet_solve` and ``docs/api.md``.

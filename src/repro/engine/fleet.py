@@ -1,11 +1,9 @@
 """The fleet solve engine: one vectorized SS-HOPM sweep over a whole workload.
 
-:func:`~repro.core.multistart.multistart_sshopm` vectorizes the ``V``
-starts of each tensor but advances every (tensor, start) pair to the
-common ``max_iters`` horizon, carrying converged pairs as dead weight in
-every kernel call.  The fleet engine instead treats the workload as a
-flat pool of ``L = T * V`` independent *lanes* and keeps the kernels
-dense over the *active* lanes only:
+The engine treats a ``T``-tensor, ``V``-start workload as a flat pool of
+``L = T * V`` independent *lanes* and keeps the kernels dense over the
+*active* lanes only, instead of carrying converged lanes to a common
+``max_iters`` horizon:
 
 * every lane carries its own state — iterate, lambda, shift — so shifts
   can escalate per lane (adaptive mode) without splitting the batch;
@@ -19,6 +17,10 @@ dense over the *active* lanes only:
 
 Lane ``l`` maps to pair ``(t, v) = divmod(l, V)``; results come back as
 ``(T, V)`` arrays in a :class:`~repro.core.results.FleetResult`.
+
+:func:`~repro.core.multistart.multistart_sshopm` is a thin adapter over
+:func:`fleet_solve`: it hands over its own kernel suite as the plan and
+repackages the result as a ``MultistartResult``.
 """
 
 from __future__ import annotations
@@ -225,11 +227,48 @@ def fleet_solve(
         ``stopped=True``.  Lanes that already retired are untouched, so
         a stopped run never corrupts or drops completed work.
 
-    Returns a :class:`~repro.core.results.FleetResult` whose ``(T, V)``
-    lane grid matches what per-tensor ``multistart_sshopm`` calls would
-    produce (up to dedup tolerance — lane schedules differ, fixed points
-    do not).
+    Returns a :class:`~repro.core.results.FleetResult` over the ``(T, V)``
+    lane grid.  Lanes iterate independently, so per-tensor calls land on the
+    same fixed points.
     """
+    result, seconds = _run_fleet(
+        tensors, num_starts, alpha, tol, max_iters, starts, scheme, variant,
+        dtype, rng, counter, config, backend=backend, adaptive=adaptive,
+        tau=tau, compact_every=compact_every, plan=plan, out=out,
+        telemetry=telemetry, guards=guards, stop=stop)
+    observe_solver_run("fleet_solve", seconds, result.iterations,
+                       int(result.converged.sum()), result.iterations.size)
+    return result
+
+
+def _run_fleet(
+    tensors: SymmetricTensorBatch | SymmetricTensor,
+    num_starts: int | None = None,
+    alpha: float | None = None,
+    tol: float | None = None,
+    max_iters: int | None = None,
+    starts: np.ndarray | None = None,
+    scheme: str | None = None,
+    variant: str | None = None,
+    dtype=None,
+    rng=None,
+    counter: FlopCounter | None = None,
+    config: SolveConfig | None = None,
+    *,
+    backend: str | None = None,
+    adaptive: bool | str = False,
+    tau: float = 1e-6,
+    compact_every: int = 8,
+    plan: KernelPlan | None = None,
+    out: FleetWorkspace | None = None,
+    telemetry: bool | None = None,
+    guards=None,
+    stop=None,
+) -> tuple[FleetResult, float]:
+    """:func:`fleet_solve` without its solver-run metrics: returns the
+    result and the solve's wall seconds, so an adapter
+    (:func:`~repro.core.multistart.multistart_sshopm`) records the run
+    once, under its own solver label."""
     max_iters = reconcile_max_iters(max_iters, None)
     # ``if adaptive:`` truthiness would silently give the string "geap"
     # the oscillation-escalation machinery — keep the two modes explicit
@@ -270,6 +309,20 @@ def fleet_solve(
             f"plan is for shape {(plan.m, plan.n)} but batch is {(m, n)}"
         )
 
+    ax_m1 = plan.ax_m1
+    if recorder is not None:
+        from repro.instrument.kernels import kernel_cost_model
+
+        cost = kernel_cost_model(m, n)
+        lane_bytes = ((cost["loads"] + cost["stores_vector"])
+                      * np.dtype(dtype).itemsize)
+
+        def ax_m1(vals, xs, counter=None):
+            # traffic estimate of the Table-II cost model, per lane
+            out = plan.ax_m1(vals, xs, counter=counter)
+            recorder.add("bytes", (out.size // n) * lane_bytes)
+            return out
+
     _gauge("fleet.tensors", T)
     _gauge("fleet.starts", V)
     _gauge("fleet.variant", plan.variant)
@@ -300,7 +353,7 @@ def fleet_solve(
     lane_vals = values[tensor_of]                             # (A, U)
     # one kernel per sweep: y = A x^{m-1} drives both the update and, via
     # lambda = A x^m = x . y, the eigenvalue — no separate ax_m call
-    y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
+    y = np.asarray(ax_m1(lane_vals, x, counter=counter))
     lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
     live = np.ones(L, dtype=bool)
     if osc_adaptive:
@@ -388,7 +441,7 @@ def fleet_solve(
                     x_prev = x
                 safe = np.where(norms > 0, norms, 1.0)
                 x = x_new / safe[:, None]
-                y = np.asarray(plan.ax_m1(lane_vals, x, counter=counter))
+                y = np.asarray(ax_m1(lane_vals, x, counter=counter))
                 lam_prev = lam
                 lam = np.einsum("ij,ij->i", x, y, dtype=np.float64)
                 counter.add_flops(2 * x.shape[0] * n)
@@ -474,8 +527,10 @@ def fleet_solve(
             write_back(live, converged=False, failed=False)
 
         with _span("residuals"):
-            full_vals = values[np.arange(L) // V]
-            y_all = np.asarray(plan.ax_m1(full_vals, out_x, counter=counter))
+            # broadcast each tensor over its V lanes instead of gathering
+            # per-lane copies of the values
+            y_all = np.asarray(ax_m1(values[:, None, :], out_x.reshape(T, V, n),
+                                     counter=counter)).reshape(L, n)
             residuals = np.linalg.norm(
                 y_all - out_lam[:, None] * out_x, axis=-1
             )
@@ -494,10 +549,6 @@ def fleet_solve(
         )
         if recorder is not None:
             recorder.add_telemetry(tel)
-    observe_solver_run(
-        "fleet_solve", elapsed,
-        out_iters.reshape(T, V), int(out_conv.sum()), L,
-    )
     return FleetResult(
         eigenvalues=out_lam.reshape(T, V),
         eigenvectors=out_x.reshape(T, V, n),
@@ -511,4 +562,4 @@ def fleet_solve(
         compactions=compactions,
         stopped=was_stopped,
         tensors=tensors,
-    )
+    ), elapsed

@@ -3,7 +3,8 @@
 The solvers grew up separately: :func:`~repro.core.sshopm.sshopm` for one
 tensor and one start, :func:`~repro.core.adaptive.adaptive_sshopm` for
 the self-tuning shift, :func:`~repro.core.multistart.multistart_sshopm`
-for the lockstep multistart, and the fleet engine
+for the batched multistart (itself an adapter over the fleet engine), and
+the fleet engine
 (:func:`~repro.engine.fleet.fleet_solve`) for whole-workload scheduling.
 Choosing among them is mechanical — it depends only on the *shape* of the
 request (one tensor or a batch? one start or many? fixed or adaptive

@@ -10,7 +10,8 @@ reduction for the vector kernel).
 
 Conventions: ``values`` has shape ``(..., U)`` (unique entries last), ``x``
 has shape ``(..., n)``; leading dimensions broadcast against each other.
-The SS-HOPM multistart driver calls these with ``values[T, 1, U]`` against
+The fleet engine calls these with per-lane ``values[L, U]`` against
+``x[L, n]``, and its final residual pass with ``values[T, 1, U]`` against
 ``x[T, V, n]``.
 """
 
@@ -96,7 +97,16 @@ def ax_m1_batched(
         for j in range(1, m - 1):
             f *= x[..., tab.row_factors[:, j]]
 
-    contrib = values[..., tab.row_class] * f
+    gathered = values[..., tab.row_class]
+    if gathered.dtype == f.dtype and (
+            gathered.shape == f.shape
+            or np.broadcast_shapes(gathered.shape, f.shape) == f.shape):
+        # multiply into the row-factor buffer: the same products without
+        # another (..., R) temporary
+        f *= gathered
+        contrib = f
+    else:
+        contrib = gathered * f
     contrib *= tab.row_sigma.astype(contrib.dtype)
     y = np.add.reduceat(contrib, tab.out_starts[:-1], axis=-1)
     counter.add_flops((int(np.size(y)) // tab.n) * (tab.num_rows * (m + 2)))

@@ -11,7 +11,7 @@ like the flat batched kernels: the multistart driver passes
 
 Per-chunk weights and Jacobians are computed once per call and shared by
 every block touching that chunk — the analog of the paper's table sharing
-across thread blocks.  This makes lockstep multistart SS-HOPM practical
+across thread blocks.  This makes batched multistart SS-HOPM practical
 for tensor sizes far past the unrollable regime
 (``backend="blocked"`` in :func:`repro.core.multistart.multistart_sshopm`).
 """

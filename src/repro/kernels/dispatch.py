@@ -9,9 +9,9 @@ without special-casing.  Both access shapes go through :func:`get_kernels`:
   (``ax_m(tensor, x) -> float``).
 * ``get_kernels(variant, m, n, batched=True)`` — a
   :class:`BatchedKernelPair` operating on raw value/vector arrays with
-  broadcasting leading dimensions (``ax_m(values, x) -> ndarray``), the
-  shape the lockstep multistart driver feeds (``values[T, 1, U]`` against
-  ``x[T, V, n]``).  Callers no longer import ``ax_m_batched`` /
+  broadcasting leading dimensions (``ax_m(values, x) -> ndarray``), e.g.
+  ``values[T, 1, U]`` against ``x[T, V, n]``, or the fleet engine's
+  per-lane ``values[L, U]`` against ``x[L, n]``.  Callers no longer import ``ax_m_batched`` /
   ``ax_m_blocked_batched`` directly (those names survive as deprecated
   aliases in :mod:`repro.kernels`).
 

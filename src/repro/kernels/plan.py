@@ -86,7 +86,10 @@ class KernelPlan:
     m, n : tensor order and mode dimension.
     variant : canonical batched variant name (``"vectorized"``,
         ``"unrolled"``, ``"unrolled_cse"``, or ``"blocked"``).
-    tables : the shared precomputed index/multinomial tables.
+    tables : the shared precomputed index/multinomial tables; ``None`` on
+        a plan wrapped around an existing suite (``multistart_sshopm``
+        hands the fleet engine its own suite this way, and the engine
+        never reads the tables).
     suite : the compiled :class:`~repro.kernels.dispatch.BatchedKernelPair`.
     build_seconds : wall time spent constructing the plan (the cost the
         cache amortizes away).
@@ -100,7 +103,7 @@ class KernelPlan:
     m: int
     n: int
     variant: str
-    tables: KernelTables
+    tables: KernelTables | None
     suite: BatchedKernelPair
     build_seconds: float
     backend: str = "numpy"

@@ -4,6 +4,13 @@ Per voxel: the principal nerve fiber directions are the local maxima of the
 diffusion profile ``D(g) = A g^m`` on the sphere, i.e. the positive-stable
 eigenpairs of ``A`` — found by multistart SS-HOPM with a nonnegative shift
 ("to find local maxima, a nonnegative shift must be used", Section V-A).
+
+The solve is one :func:`~repro.core.multistart.multistart_sshopm` call for
+the whole grid, which runs on the fleet engine: each (voxel, start) pair
+retires as soon as it converges, so a voxel whose starts all converge
+early costs no further kernel work, and the flops a recorder traces are
+charged per live lane.  Fiber selection (dedupe, classify, threshold) then
+runs per voxel.
 """
 
 from __future__ import annotations
@@ -147,12 +154,12 @@ def extract_fibers_batch(
     *,
     max_iter: int | None = None,
 ) -> list[VoxelFibers]:
-    """Fiber directions for every voxel of a batch (one lockstep multistart
-    run for the whole grid — the GPU-shaped computation).
+    """Fiber directions for every voxel of a batch (one multistart run for
+    the whole grid — the GPU-shaped computation).
 
     With a recorder active (:mod:`repro.instrument`) the pipeline stages
     appear as aggregated spans: one ``multistart_sshopm`` subtree for the
-    lockstep solve, then per-voxel ``select_fibers`` / ``dedupe`` /
+    solve, then per-voxel ``select_fibers`` / ``dedupe`` /
     ``classify`` spans whose ``count`` is the voxel count.
     """
     if alpha < 0:

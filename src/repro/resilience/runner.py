@@ -1,7 +1,7 @@
 """Fault-tolerant per-start multistart sweeps with checkpoint/resume.
 
-The lockstep driver (:func:`~repro.core.multistart.multistart_sshopm`)
-is the fast path; this module is the *durable* path for long sweeps: it
+The batched solver (:func:`~repro.core.multistart.multistart_sshopm`,
+on the fleet engine) is the fast path; this module is the *durable* path for long sweeps: it
 runs each starting vector as an independent task so that
 
 * a start that trips a numerical guard is retried with an escalated

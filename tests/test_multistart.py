@@ -1,5 +1,5 @@
-"""Tests for the batched lockstep multistart driver (the GPU-shaped
-computation) and its equivalence with per-start sequential SS-HOPM."""
+"""Tests for the batched multistart solver (the GPU-shaped computation)
+and its equivalence with per-start sequential SS-HOPM."""
 
 import numpy as np
 import pytest
