@@ -35,7 +35,7 @@ from repro.instrument import Recorder, span
 from repro.instrument.events import current_spool, new_run_id, provenance
 from repro.instrument.metrics import use_registry
 from repro.kernels.dispatch import get_kernels
-from repro.parallel.executor import parallel_multistart_sshopm
+from repro.parallel.fleet import parallel_fleet_solve
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
 
 __all__ = ["BenchTimeout", "SMOKE_WORKLOADS", "main", "run_smoke",
@@ -126,16 +126,16 @@ def _smoke_kernel_ax_m1():
 
 
 def _smoke_parallel_two_workers():
-    """Mirror of bench_figure5_scaling.py (threaded chunk executor)."""
+    """Mirror of bench_figure5_scaling.py (thread-tier fleet shards)."""
     batch = _batch(tensors=8, m=3, n=5)
-    parallel_multistart_sshopm(batch, workers=2, num_starts=8, alpha=1.0,
-                               max_iters=30, rng=np.random.default_rng(5))
+    parallel_fleet_solve(batch, workers=2, num_starts=8, alpha=1.0,
+                         max_iters=30, rng=np.random.default_rng(5),
+                         executor="thread")
     return {"tensors": len(batch), "workers": 2}
 
 
 def _smoke_process_fleet():
     """Mirror of bench_process_fleet.py (zero-copy shm worker processes)."""
-    from repro.parallel.fleet import parallel_fleet_solve
     from repro.parallel.shm import SHM_AVAILABLE
 
     batch = _batch(tensors=6, m=4, n=3, seed=6)

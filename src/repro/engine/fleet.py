@@ -26,7 +26,7 @@ repackages the result as a ``MultistartResult``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,6 +103,13 @@ class FleetWorkspace:
             shifts=np.full((T, V), np.nan),
         )
 
+    def rows(self, lo: int, hi: int) -> "FleetWorkspace":
+        """Views over tensor rows ``[lo, hi)`` — one shard's slice of the
+        grid (a leading-axis slice of a C-contiguous buffer stays
+        C-contiguous)."""
+        return FleetWorkspace(**{f.name: getattr(self, f.name)[lo:hi]
+                                 for f in fields(self)})
+
     def lane_views(self, T: int, V: int, n: int, dtype):
         """Validated flat ``(L, ...)`` views over the ``(T, V, ...)``
         buffers, in the engine's output order.  Raises ``ValueError`` on
@@ -142,8 +149,11 @@ def _as_batch(tensors) -> SymmetricTensorBatch:
 
 
 def _resolve_starts(starts, num_starts, n, scheme, rng, dtype) -> np.ndarray:
+    # generated starts take the same normalization as explicit ones, so a
+    # run handed the starts another run generated (a parallel shard, given
+    # the set its driver drew) reproduces that run bit for bit
     if starts is None:
-        return starting_vectors(num_starts, n, scheme=scheme, rng=rng, dtype=dtype)
+        starts = starting_vectors(num_starts, n, scheme=scheme, rng=rng, dtype=dtype)
     starts = np.asarray(starts, dtype=dtype)
     if starts.ndim != 2 or starts.shape[1] != n:
         raise ValueError(f"starts must have shape (V, {n}), got {starts.shape}")

@@ -380,9 +380,8 @@ def solve(
             from repro.parallel.fleet import parallel_fleet_solve
 
             kwargs = dict(
-                workers=workers, alpha=alpha or 0.0, tol=tol or 1e-10,
-                max_iters=max_iters or 500, starts=explicit, rng=rng,
-                config=config, adaptive=adaptive, **fleet_opts,
+                workers=workers, starts=explicit, rng=rng,
+                adaptive=adaptive, **common, **fleet_opts,
             )
             if count is not None and explicit is None:
                 kwargs["num_starts"] = count

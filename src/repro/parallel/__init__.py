@@ -16,7 +16,6 @@ from repro.parallel.cpumodel import (
     predict_cpu_sshopm,
     speedup_curve,
 )
-from repro.parallel.executor import ParallelRunReport, parallel_multistart_sshopm
 from repro.parallel.fleet import (
     STEAL_IMBALANCE_THRESHOLD,
     FleetRunReport,
@@ -45,7 +44,6 @@ __all__ = [
     "ExecutorChoice",
     "FleetCommEstimate",
     "FleetRunReport",
-    "ParallelRunReport",
     "PartitionError",
     "SharedResultBlock",
     "SharedTensorStore",
@@ -55,7 +53,6 @@ __all__ = [
     "estimate_fleet_comm",
     "interleaved_partition",
     "parallel_fleet_solve",
-    "parallel_multistart_sshopm",
     "predict_cpu_sshopm",
     "speedup_curve",
     "static_partition",

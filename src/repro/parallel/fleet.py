@@ -6,10 +6,11 @@ the *tensor* axis into contiguous shards and runs one fleet per worker.
 Two executor tiers share the partition/merge discipline:
 
 ``executor="thread"``
-    One fleet per worker thread (the historical behavior).  Cheap to
-    start and zero-copy by construction, but numpy dispatch serializes on
-    the GIL, so scaling is bounded by the fraction of each sweep spent
-    inside GIL-releasing kernels.
+    One fleet per worker thread, each writing its shard's rows of one
+    shared result grid — the paper's OpenMP loop over the tensor batch.
+    Cheap to start and zero-copy by construction, but numpy dispatch
+    serializes on the GIL, so scaling is bounded by the fraction of each
+    sweep spent inside GIL-releasing kernels.
 ``executor="process"``
     Persistent worker processes over a zero-copy shared-memory tensor
     store (:mod:`repro.parallel.shm`, :mod:`repro.parallel.procfleet`).
@@ -29,6 +30,11 @@ is bit-for-bit the single-worker fleet result.  Shards are cut by
 per-tensor kernel-plan flop estimates; worker counts exceeding the batch
 size are clamped with a warning (the partition itself refuses empty
 shards with a typed :class:`~repro.parallel.partition.PartitionError`).
+
+Both tiers keep one crash contract (:class:`CrashLedger`): a shard whose
+attempt crashes is requeued up to ``max_requeues`` times, then written
+off as NaN rows with ``failed`` set, and metrics recorded by a crashed
+attempt still merge.
 
 Observability: both tiers feed one coherent trace — thread workers'
 recorders are absorbed directly, process workers serialize their span
@@ -93,8 +99,10 @@ class FleetRunReport:
     ``shard_seconds`` the per-shard wall times (their spread is the load
     imbalance the partition could not avoid — see :meth:`imbalance`).
     ``executor`` is the tier that actually ran (``"auto"`` resolves
-    before execution); ``requeues``/``failed_shards`` mirror the hardened
-    thread executor's crash accounting for the process tier.
+    before execution); ``requeues`` counts crashed shard attempts that
+    were rescheduled and ``failed_shards`` lists the shards written off
+    after exhausting the requeue budget (see :class:`CrashLedger`; both
+    tiers keep the same accounting).
     ``workers_traced`` counts the worker span subtrees stitched into the
     caller's trace (0 when tracing was off or the run was a degenerate
     single shard; for the process tier a worker SIGKILLed before sending
@@ -171,17 +179,90 @@ def _stitch_worker_traces(parent: Recorder, traces: dict,
     return stitched
 
 
+#: Chaos faults ``parallel_fleet_solve(faults=)`` accepts per shard.
+FAULT_KINDS = ("crash", "kill")
+
+
+class CrashLedger:
+    """The crash contract both executor tiers share.
+
+    A shard whose attempt crashes (raises, or its worker process dies) is
+    requeued until it has crashed ``max_requeues + 1`` times; then its
+    rows of the result grid are written off as NaN placeholders with
+    ``failed`` set, so a poisoned shard never takes down the run or
+    silently vanishes from it.  The first crash of a run raises one
+    ``RuntimeWarning`` that the pool is running degraded.
+    """
+
+    def __init__(self, max_requeues: int, alpha: float):
+        self.max_requeues = max_requeues
+        self.alpha = alpha
+        self.requeues = 0
+        self.failed: set[int] = set()
+        self._warned = False
+
+    def crashed(self, shard: int, attempts: int, error: str, rows,
+                *, stacklevel: int) -> bool:
+        """Account the ``attempts``-th crash of ``shard``.
+
+        Returns ``True`` when the caller should requeue the shard;
+        otherwise ``rows`` (the shard's
+        :class:`~repro.engine.fleet.FleetWorkspace` slice) have been
+        written off.  ``stacklevel`` is the warning's, counted from the
+        caller.
+        """
+        requeue = attempts <= self.max_requeues
+        if not self._warned:
+            self._warned = True
+            warnings.warn(
+                f"fleet worker crashed on shard {shard} ({error}); "
+                + ("requeueing — running in degraded mode" if requeue
+                   else "requeue budget exhausted"),
+                RuntimeWarning, stacklevel=stacklevel + 1)
+        if requeue:
+            self.requeues += 1
+            _emit("requeue", shard=shard, attempt=attempts)
+            _log.warning("worker crashed on shard; requeueing",
+                         fields={"shard": shard, "attempt": attempts,
+                                 "error": error})
+            return True
+        rows.eigenvalues[:] = np.nan
+        rows.eigenvectors[:] = np.nan
+        rows.converged[:] = False
+        rows.iterations[:] = 0
+        rows.failed[:] = True
+        rows.shifts[:] = self.alpha
+        self.failed.add(shard)
+        _emit("writeoff", shard=shard)
+        _log.error("shard written off (requeue budget exhausted)",
+                   fields={"shard": shard, "error": error})
+        return False
+
+    def count(self, registry: MetricsRegistry) -> None:
+        """Add this run's requeues and write-offs to ``registry``."""
+        if self.requeues:
+            registry.counter(
+                "repro_requeues_total",
+                "Crashed sweep tasks rescheduled on a surviving worker",
+            ).inc(self.requeues)
+        if self.failed:
+            registry.counter(
+                "repro_chunk_failures_total",
+                "Parallel chunks that exhausted their requeue budget",
+            ).inc(len(self.failed))
+
+
 def parallel_fleet_solve(
     tensors: SymmetricTensorBatch,
     workers: int = 1,
-    num_starts: int = 32,
-    alpha: float = 0.0,
-    tol: float = 1e-10,
-    max_iters: int = 500,
+    num_starts: int | None = None,
+    alpha: float | None = None,
+    tol: float | None = None,
+    max_iters: int | None = None,
     starts: np.ndarray | None = None,
-    scheme: str = "random",
-    variant: str = "vectorized",
-    dtype=np.float64,
+    scheme: str | None = None,
+    variant: str | None = None,
+    dtype=None,
     rng=None,
     config: SolveConfig | None = None,
     *,
@@ -200,11 +281,12 @@ def parallel_fleet_solve(
 ) -> FleetRunReport:
     """Shard ``tensors`` over ``workers``, one fleet per shard.
 
-    Parameters are those of :func:`repro.engine.fleet.fleet_solve`; every
-    shard shares one starting-vector set, so the merged ``(T, V)`` result
-    is bit-for-bit a single-worker fleet run with the same starts (shard
-    boundaries change lane scheduling, not arithmetic).  The tier-specific
-    ones:
+    Parameters are those of :func:`repro.engine.fleet.fleet_solve`, with
+    the same defaults and the same ``config`` resolution; every shard
+    shares one starting-vector set, so the merged ``(T, V)`` result is
+    bit-for-bit a single-worker fleet run with the same starts (shard
+    boundaries change lane scheduling, not arithmetic).  The
+    tier-specific ones:
 
     executor : ``"thread"`` (default), ``"process"`` (zero-copy
         shared-memory worker processes), or ``"auto"`` (cost-model pick);
@@ -216,9 +298,17 @@ def parallel_fleet_solve(
         :data:`STEAL_IMBALANCE_THRESHOLD`.
     start_method : multiprocessing start method for the process tier
         (default: ``fork`` where available).
-    max_requeues / faults : crash budget and chaos injection for the
-        process tier (``faults`` maps shard id → ``"crash"``/``"kill"``),
-        mirroring the hardened thread executor.
+    max_requeues / faults : the crash contract both tiers share (see
+        :class:`CrashLedger`): a shard whose attempt raises or whose
+        worker dies is requeued up to ``max_requeues`` times, then written
+        off as NaN rows with ``failed`` set and listed in
+        ``FleetRunReport.failed_shards``.  ``faults`` maps shard id to a
+        chaos fault from :data:`FAULT_KINDS`, injected on the shard's
+        first attempt: ``"crash"`` raises
+        :class:`~repro.resilience.faults.InjectedWorkerCrash`; ``"kill"``
+        SIGKILLs a process worker and, since a thread cannot be killed,
+        raises like ``"crash"`` on the thread tier.  A single-shard run
+        executes inline and injects nothing.
     events : path of a per-run JSONL event spool
         (:mod:`repro.instrument.events`; also settable via
         ``SolveConfig.events``).  Ignored when a spool is already active
@@ -251,6 +341,13 @@ def parallel_fleet_solve(
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_requeues < 0:
+        raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
+    faults = dict(faults or {})
+    unknown = [kind for kind in faults.values() if kind not in FAULT_KINDS]
+    if unknown:
+        raise ValueError(
+            f"faults values must be one of {FAULT_KINDS}, got {unknown!r}")
     T = len(tensors)
     if workers > T:
         warnings.warn(
@@ -262,9 +359,25 @@ def parallel_fleet_solve(
     if executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}")
+    # resolved here exactly as fleet_solve resolves them: the starts and
+    # the process workers need primitives, not a config
+    num_starts = resolve_option("num_starts", num_starts, config, 32)
+    alpha = resolve_option("alpha", alpha, config, 0.0)
+    tol = resolve_option("tol", tol, config, 1e-10)
+    max_iters = resolve_option("max_iters", max_iters, config, 500)
+    scheme = resolve_option("scheme", scheme, config, "random")
+    variant = resolve_option("backend", variant, config, "vectorized")
+    backend = resolve_option("codegen_backend", backend, config, "numpy")
+    dtype = resolve_option("dtype", dtype, config, np.float64)
+    rng = resolve_option("rng", rng, config, None)
+    guards = resolve_option("guards", guards, config, None)
     if starts is None:
         starts = starting_vectors(num_starts, tensors.n, scheme=scheme,
                                   rng=rng, dtype=dtype)
+    opts = dict(alpha=alpha, tol=tol, max_iters=max_iters, starts=starts,
+                variant=variant, backend=backend, dtype=dtype,
+                adaptive=adaptive, compact_every=compact_every,
+                guards=guards, stop=stop)
 
     weights = _shard_weights(tensors, starts.shape[0])
     if executor == "auto":
@@ -300,13 +413,7 @@ def parallel_fleet_solve(
             _emit("run_start", tensors=T, lanes=T * V, workers=1, shards=1,
                   executor="inline", ranges=[[0, T]])
             _emit("shard_start", shard=0, lo=0, hi=T)
-            res = fleet_solve(
-                tensors, alpha=alpha, tol=tol, max_iters=max_iters,
-                starts=starts, variant=variant, backend=backend, dtype=dtype,
-                config=config,
-                adaptive=adaptive, compact_every=compact_every, guards=guards,
-                stop=stop,
-            )
+            res = fleet_solve(tensors, config=config, **opts)
             elapsed = time.perf_counter() - t0
             _emit("shard_finish", shard=0, seconds=elapsed, sweeps=res.sweeps)
             _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
@@ -317,102 +424,131 @@ def parallel_fleet_solve(
 
         if executor == "process":
             return _process_tier(
-                tensors, workers, starts, weights, alpha=alpha, tol=tol,
-                max_iters=max_iters, variant=variant, backend=backend,
-                dtype=dtype, config=config, adaptive=adaptive,
-                compact_every=compact_every, guards=guards, steal=steal,
+                tensors, workers, weights, opts, steal=steal,
                 start_method=start_method, max_requeues=max_requeues,
-                faults=faults, parent=parent, t0=t0,
-                stop=stop, deadline=deadline)
+                faults=faults, parent=parent, t0=t0, deadline=deadline)
+        return _thread_tier(
+            tensors, cost_weighted_partition(weights, workers), opts,
+            config=config, max_requeues=max_requeues, faults=faults,
+            spool=spool, parent=parent, t0=t0)
 
-        ranges = cost_weighted_partition(weights, workers)
-        _emit("run_start", tensors=T, lanes=T * V, workers=len(ranges),
-              shards=len(ranges), executor="thread",
-              ranges=[[r.start, r.stop] for r in ranges])
 
-        def solve_shard(item):
-            wid, r = item
-            worker_reg = MetricsRegistry()
-            worker_rec = Recorder() if parent is not None else None
-            worker_spool = spool.bound(f"t{wid}") if spool is not None else None
-            shard = tensors.subset(np.arange(r.start, r.stop))
-            ts = time.perf_counter()
-            with use_registry(worker_reg), use_spool(worker_spool):
-                _emit("shard_start", shard=wid, lo=r.start, hi=r.stop)
+def _thread_tier(tensors, ranges, opts, *, config, max_requeues, faults,
+                 spool, parent, t0) -> FleetRunReport:
+    """One fleet per worker thread, each writing its shard's rows of one
+    shared result grid, under the crash contract of :class:`CrashLedger`."""
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-                def run():
-                    return fleet_solve(
-                        shard,
-                        alpha=alpha,
-                        tol=tol,
-                        max_iters=max_iters,
-                        starts=starts,
-                        variant=variant,
-                        backend=backend,
-                        dtype=dtype,
-                        config=config,
-                        adaptive=adaptive,
-                        compact_every=compact_every,
-                        guards=guards,
-                        stop=stop,
-                    )
+    from repro.engine.fleet import FleetWorkspace, fleet_solve
 
+    T, V = len(tensors), opts["starts"].shape[0]
+    _emit("run_start", tensors=T, lanes=T * V, workers=len(ranges),
+          shards=len(ranges), executor="thread",
+          ranges=[[r.start, r.stop] for r in ranges])
+    out = FleetWorkspace.allocate(T, V, tensors.n, dtype=opts["dtype"])
+
+    def solve_shard(wid, r, fault):
+        # a private registry and recorder per attempt (both are
+        # thread-local); a crashed attempt's registry still merges
+        worker_reg = MetricsRegistry()
+        worker_rec = Recorder() if parent is not None else None
+        worker_spool = spool.bound(f"t{wid}") if spool is not None else None
+        res = error = None
+        ts = time.perf_counter()
+        try:
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(use_registry(worker_reg))
+                stack.enter_context(use_spool(worker_spool))
                 if worker_rec is not None:
-                    with worker_rec.activate():
-                        res = run()
-                else:
-                    res = run()
-                seconds = time.perf_counter() - ts
-                _emit("shard_finish", shard=wid, seconds=seconds,
-                      sweeps=res.sweeps)
-            return res, worker_rec, worker_reg, seconds
+                    stack.enter_context(worker_rec.activate())
+                _emit("shard_start", shard=wid, lo=r.start, hi=r.stop)
+                if fault is not None:
+                    from repro.resilience.faults import InjectedWorkerCrash
 
-        workers_traced = 0
-        with _span("parallel_fleet_solve"):
-            from concurrent.futures import ThreadPoolExecutor
+                    raise InjectedWorkerCrash(
+                        f"injected {fault} in thread shard {wid}")
+                res = fleet_solve(
+                    tensors.subset(np.arange(r.start, r.stop)),
+                    config=config, out=out.rows(r.start, r.stop), **opts)
+                _emit("shard_finish", shard=wid,
+                      seconds=time.perf_counter() - ts, sweeps=res.sweeps)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        return res, error, worker_rec, worker_reg, time.perf_counter() - ts
 
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                outs = list(pool.map(solve_shard, enumerate(ranges)))
+    crashes = CrashLedger(max_requeues, opts["alpha"])
+    attempts = [0] * len(ranges)
+    results: dict = {}
+    recorders: dict = {}
+    shard_seconds = [0.0] * len(ranges)
+    registries: list[MetricsRegistry] = []
+    workers_traced = 0
+    with _span("parallel_fleet_solve"):
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            futures = {pool.submit(solve_shard, wid, r, faults.get(wid)): wid
+                       for wid, r in enumerate(ranges)}
+            while futures:
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    wid = futures.pop(fut)
+                    res, error, worker_rec, worker_reg, seconds = fut.result()
+                    registries.append(worker_reg)
+                    if error is None:
+                        results[wid] = res
+                        recorders[wid] = worker_rec
+                        shard_seconds[wid] = seconds
+                        continue
+                    attempts[wid] += 1
+                    r = ranges[wid]
+                    if crashes.crashed(wid, attempts[wid], error,
+                                       out.rows(r.start, r.stop),
+                                       stacklevel=3):
+                        futures[pool.submit(solve_shard, wid, r, None)] = wid
 
-            caller_reg = get_registry()
-            if parent is not None:
-                parent.gauge("parallel.workers", len(ranges))
-                parent.gauge("parallel.executor", "thread")
-                parent.gauge("parallel.shard_sizes", [len(r) for r in ranges])
-                for wid, (_, worker_rec, _, _) in enumerate(outs):
-                    if worker_rec is not None:
-                        parent.absorb(worker_rec, under=f"worker{wid}")
-                        workers_traced += 1
-            for _, _, worker_reg, _ in outs:
-                caller_reg.merge(worker_reg)
+        caller_reg = get_registry()
+        if parent is not None:
+            parent.gauge("parallel.workers", len(ranges))
+            parent.gauge("parallel.executor", "thread")
+            parent.gauge("parallel.shard_sizes", [len(r) for r in ranges])
+            for wid in sorted(recorders):
+                if recorders[wid] is not None:
+                    parent.absorb(recorders[wid], under=f"worker{wid}")
+                    workers_traced += 1
+        for worker_reg in registries:
+            caller_reg.merge(worker_reg)
+        crashes.count(caller_reg)
 
-        parts = [o[0] for o in outs]
-        merged = FleetResult(
-            eigenvalues=np.concatenate([p.eigenvalues for p in parts], axis=0),
-            eigenvectors=np.concatenate([p.eigenvectors for p in parts], axis=0),
-            converged=np.concatenate([p.converged for p in parts], axis=0),
-            iterations=np.concatenate([p.iterations for p in parts], axis=0),
-            sweeps=max(p.sweeps for p in parts),
-            failed=np.concatenate([p.failed for p in parts], axis=0),
-            shifts=np.concatenate([p.shifts for p in parts], axis=0),
-            variant=parts[0].variant,
-            compactions=sum(p.compactions for p in parts),
-            stopped=any(p.stopped for p in parts),
-            tensors=tensors,
-        )
-        elapsed = time.perf_counter() - t0
-        _emit("run_finish", seconds=elapsed, requeues=0, failed=0)
-        _log.info("thread fleet run finished",
-                  fields={"workers": len(ranges), "seconds": elapsed})
-        return FleetRunReport(
-            result=merged,
-            workers=len(ranges),
-            seconds=elapsed,
-            shard_sizes=[len(r) for r in ranges],
-            shard_seconds=[o[3] for o in outs],
-            executor="thread",
-            workers_traced=workers_traced,
-        )
+    parts = [results[wid] for wid in sorted(results)]
+    merged = FleetResult(
+        eigenvalues=out.eigenvalues,
+        eigenvectors=out.eigenvectors,
+        converged=out.converged,
+        iterations=out.iterations,
+        sweeps=max((p.sweeps for p in parts), default=0),
+        failed=out.failed,
+        shifts=out.shifts,
+        variant=parts[0].variant if parts else opts["variant"],
+        compactions=sum(p.compactions for p in parts),
+        stopped=any(p.stopped for p in parts),
+        tensors=tensors,
+    )
+    elapsed = time.perf_counter() - t0
+    _emit("run_finish", seconds=elapsed, requeues=crashes.requeues,
+          failed=len(crashes.failed))
+    _log.info("thread fleet run finished",
+              fields={"workers": len(ranges), "requeues": crashes.requeues,
+                      "failed": len(crashes.failed), "seconds": elapsed})
+    return FleetRunReport(
+        result=merged,
+        workers=len(ranges),
+        seconds=elapsed,
+        shard_sizes=[len(r) for r in ranges],
+        shard_seconds=shard_seconds,
+        executor="thread",
+        requeues=crashes.requeues,
+        failed_shards=sorted(crashes.failed),
+        workers_traced=workers_traced,
+    )
 
 
 def _predicted_imbalance(weights: np.ndarray, ranges) -> float:
@@ -423,12 +559,10 @@ def _predicted_imbalance(weights: np.ndarray, ranges) -> float:
     return max(sums) / mean if mean > 0 else 1.0
 
 
-def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
-                  max_iters, variant, backend, dtype, config, adaptive,
-                  compact_every, guards, steal, start_method, max_requeues,
-                  faults, parent, t0, stop=None,
+def _process_tier(tensors, workers, weights, opts, *, steal, start_method,
+                  max_requeues, faults, parent, t0,
                   deadline=None) -> FleetRunReport:
-    """Resolve process-tier options and delegate to
+    """Cut the process-tier shards and delegate to
     :func:`repro.parallel.procfleet.process_fleet_solve`."""
     from repro.parallel.procfleet import process_fleet_solve
 
@@ -445,21 +579,12 @@ def _process_tier(tensors, workers, starts, weights, *, alpha, tol,
     else:
         shards = ranges
 
-    # workers receive primitives, not a config: resolve the config-backed
-    # options here exactly as fleet_solve would
-    variant_r = resolve_option("backend", variant, config, "vectorized")
-    backend_r = resolve_option("codegen_backend", backend, config, "numpy")
-    guards_r = resolve_option("guards", guards, config, None)
-
     workers_traced = 0
     with _span("parallel_fleet_solve"):
         result, info = process_fleet_solve(
-            tensors, shards, starts, workers=workers, alpha=alpha, tol=tol,
-            max_iters=max_iters, variant=variant_r, backend=backend_r,
-            dtype=dtype, adaptive=adaptive, compact_every=compact_every,
-            guards=guards_r, start_method=start_method,
-            max_requeues=max_requeues, faults=faults,
-            stop=stop, deadline=deadline,
+            tensors, shards, workers=workers, start_method=start_method,
+            max_requeues=max_requeues, faults=faults, deadline=deadline,
+            **opts,
         )
         if parent is not None:
             parent.gauge("parallel.workers", workers)

@@ -20,8 +20,9 @@ every byte of tensor payload out of the pipes:
   a dict of floats.  Per-worker metrics come back as one registry
   snapshot at exit and merge through the standard snapshot/merge path.
 
-Crash discipline matches the hardened thread executor: a worker that
-dies mid-shard (or raises, e.g. an injected
+Crashes follow the contract both tiers share
+(:class:`~repro.parallel.fleet.CrashLedger`): a worker that dies
+mid-shard (or raises, e.g. an injected
 :class:`~repro.resilience.faults.InjectedWorkerCrash`) gets its claimed
 shard requeued on the survivors up to ``max_requeues`` times — run
 inline in the parent if nobody survives — and a shard that exhausts its
@@ -37,7 +38,6 @@ import os
 import pickle
 import signal
 import time
-import warnings
 from queue import Empty
 
 import numpy as np
@@ -60,6 +60,7 @@ from repro.instrument.metrics import (
     observe_queue_wait,
     use_registry,
 )
+from repro.parallel.fleet import CrashLedger
 from repro.parallel.shm import SharedResultBlock, SharedTensorStore
 from repro.symtensor.storage import SymmetricTensorBatch
 
@@ -315,9 +316,8 @@ def process_fleet_solve(
         for sid, r in enumerate(shards)
     }
     done: set[int] = set()
-    failed: set[int] = set()
-    requeues = 0
-    warned_degraded = False
+    crashes = CrashLedger(max_requeues, alpha)
+    failed = crashes.failed
     snapshots: list[dict] = []
     worker_traces: dict[int, dict] = {}
 
@@ -330,22 +330,6 @@ def process_fleet_solve(
         payload = (sid, lo, hi, fault)
         observe_ipc_payload("descriptor", len(pickle.dumps(payload)))
         task_q.put(payload)
-
-    def write_off(sid: int) -> None:
-        # placeholder rows, same contract as the thread executor's
-        # ChunkFailure path: NaN values, failed mask set, never dropped
-        lo, hi = state[sid]["range"]
-        a = block.arrays
-        a["eigenvalues"][lo:hi] = np.nan
-        a["eigenvectors"][lo:hi] = np.nan
-        a["converged"][lo:hi] = False
-        a["iterations"][lo:hi] = 0
-        a["failed"][lo:hi] = True
-        a["shifts"][lo:hi] = alpha
-        failed.add(sid)
-        _emit("writeoff", shard=sid)
-        _log.error("shard written off (requeue budget exhausted)",
-                   fields={"run": run_id, "shard": sid})
 
     def run_inline(sid: int) -> None:
         # nobody left to delegate to: the parent solves the shard itself
@@ -374,26 +358,12 @@ def process_fleet_solve(
                   fields={"run": run_id, "shard": sid})
 
     def handle_lost_shard(sid: int, error: str) -> None:
-        nonlocal requeues, warned_degraded
         st = state[sid]
         st["claimed_by"] = None
         st["attempts"] += 1
-        budget_left = st["attempts"] <= max_requeues
-        if not warned_degraded:
-            warned_degraded = True
-            warnings.warn(
-                f"fleet worker died on shard {sid} ({error}); "
-                + ("requeueing — running in degraded mode" if budget_left
-                   else "requeue budget exhausted"),
-                RuntimeWarning, stacklevel=3)
-        if not budget_left:
-            write_off(sid)
+        if not crashes.crashed(sid, st["attempts"], error,
+                               block.workspace(*st["range"]), stacklevel=3):
             return
-        requeues += 1
-        _emit("requeue", shard=sid, attempt=st["attempts"])
-        _log.warning("worker died on shard; requeueing",
-                     fields={"run": run_id, "shard": sid, "error": error,
-                             "attempt": st["attempts"]})
         if alive:
             enqueue(sid)  # fault injected on first attempt only
         else:
@@ -521,16 +491,7 @@ def process_fleet_solve(
     reg = get_registry()
     for snap in snapshots:
         reg.merge(snap)
-    if requeues:
-        reg.counter(
-            "repro_requeues_total",
-            "Crashed sweep tasks rescheduled on a surviving worker",
-        ).inc(requeues)
-    if failed:
-        reg.counter(
-            "repro_chunk_failures_total",
-            "Parallel chunks that exhausted their requeue budget",
-        ).inc(len(failed))
+    crashes.count(reg)
 
     metas = [state[sid]["meta"] for sid in sorted(state)]
     result = FleetResult(
@@ -550,15 +511,15 @@ def process_fleet_solve(
         "seconds": time.perf_counter() - t_start,
         "shard_sizes": [len(r) for r in shards],
         "shard_seconds": [m_["seconds"] if m_ else 0.0 for m_ in metas],
-        "requeues": requeues,
+        "requeues": crashes.requeues,
         "failed_shards": sorted(failed),
         "worker_traces": worker_traces,
     }
-    _emit("run_finish", seconds=info["seconds"], requeues=requeues,
+    _emit("run_finish", seconds=info["seconds"], requeues=crashes.requeues,
           failed=len(failed))
     _log.info("process fleet run finished",
               fields={"run": run_id, "workers": workers,
-                      "shards": len(state), "requeues": requeues,
+                      "shards": len(state), "requeues": crashes.requeues,
                       "failed": len(failed),
                       "seconds": round(info["seconds"], 6)})
     return result, info

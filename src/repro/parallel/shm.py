@@ -358,15 +358,7 @@ class SharedResultBlock(SharedArrayBundle):
         ``fleet_solve(out=...)``."""
         from repro.engine.fleet import FleetWorkspace
 
-        a = self.arrays
-        return FleetWorkspace(
-            eigenvalues=a["eigenvalues"][lo:hi],
-            eigenvectors=a["eigenvectors"][lo:hi],
-            converged=a["converged"][lo:hi],
-            iterations=a["iterations"][lo:hi],
-            failed=a["failed"][lo:hi],
-            shifts=a["shifts"][lo:hi],
-        )
+        return FleetWorkspace(**self.arrays).rows(lo, hi)
 
     def snapshot(self) -> dict:
         """Plain-memory copies of every output array (safe to keep after

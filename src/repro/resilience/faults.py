@@ -8,7 +8,7 @@ degradations against a sweep:
   (start, attempt) pairs, exactly what an out-of-range shift or a device
   memory fault produces; the numerical guards must catch it.
 * **worker crashes** — a task raises :class:`InjectedWorkerCrash` the
-  first ``k`` times it is scheduled; the hardened executor must requeue
+  first ``k`` times it is scheduled; the resilient runner must requeue
   the work on a surviving worker.
 * **corrupted tensor entries** — seeded NaN corruption of a start's view
   of the tensor (all attempts — an unrecoverable input fault); the sweep
@@ -114,7 +114,7 @@ class FaultPlan:
         self._crash_counts: dict[int, int] = {}
         self._lock = threading.Lock()
 
-    # -- hooks the runner / executor call ------------------------------------
+    # -- hooks the runner and the batch solvers call -------------------------
 
     def on_task_start(self, start: int) -> None:
         """Called once per scheduled execution of ``start``: applies the
@@ -147,20 +147,3 @@ class FaultPlan:
         if attempt in self.nan_kernel.get(start, frozenset()):
             return nan_injecting_pair(pair)
         return pair
-
-    def executor_hook(self, crash_chunks: Mapping[int, int] | None = None):
-        """A ``(chunk_index, attempt) -> None`` callable for the parallel
-        executor's ``inject=`` parameter: raises
-        :class:`InjectedWorkerCrash` for each chunk until its budget is
-        spent.  ``crash_chunks`` defaults to this plan's ``crashes``
-        mapping reinterpreted over chunk indices."""
-        budgets = dict(crash_chunks if crash_chunks is not None else self.crashes)
-
-        def inject(chunk_index: int, attempt: int) -> None:
-            if budgets.get(chunk_index, 0) > attempt:
-                raise InjectedWorkerCrash(
-                    f"injected crash for chunk {chunk_index} "
-                    f"(attempt {attempt})"
-                )
-
-        return inject

@@ -118,6 +118,13 @@ class JobSpec:
         if deadline is not None and (not isinstance(deadline, (int, float))
                                      or deadline <= 0):
             raise BadSpec("deadline_seconds must be a positive number")
+        from repro.parallel.fleet import FAULT_KINDS
+
+        faults = doc.get("faults") or {}
+        if not isinstance(faults, dict) or any(
+                kind not in FAULT_KINDS for kind in faults.values()):
+            raise BadSpec(f"faults must map shard ids to one of "
+                          f"{list(FAULT_KINDS)}, got {faults!r}")
         method = doc.get("method", "sshopm")
         from repro.solvers import available_methods
 
@@ -139,8 +146,7 @@ class JobSpec:
                 chunk=int(doc.get("chunk", 16)),
                 deadline_seconds=(float(deadline) if deadline is not None
                                   else None),
-                faults={int(k): v
-                        for k, v in (doc.get("faults") or {}).items()},
+                faults={int(k): v for k, v in faults.items()},
                 method=method,
             )
         except (TypeError, ValueError) as exc:

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.eigenpairs import dedupe_eigenpairs
-from repro.parallel.executor import parallel_multistart_sshopm
+from repro.parallel.fleet import parallel_fleet_solve
+from repro.parallel.shm import SHM_AVAILABLE
 from repro.resilience import (
     FaultPlan,
     InjectedWorkerCrash,
@@ -159,41 +160,44 @@ def test_slow_task_fault_executes(tensor):
     assert not res.failed_starts
 
 
-def test_executor_chunk_crash_requeues_and_recovers():
+TIERS = pytest.mark.parametrize("executor", [
+    "thread",
+    pytest.param("process", marks=pytest.mark.skipif(
+        not SHM_AVAILABLE, reason="shared_memory unavailable")),
+])
+
+
+@TIERS
+def test_executor_chunk_crash_requeues_and_recovers(executor):
     batch = random_symmetric_batch(6, 4, 3,
                                    rng=np.random.default_rng(CHAOS_SEED))
-    base = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                      alpha=2.0,
-                                      rng=np.random.default_rng(1))
-    plan = FaultPlan(crashes={1: 1})
+    base = parallel_fleet_solve(batch, workers=3, num_starts=8, alpha=2.0,
+                                rng=np.random.default_rng(1),
+                                executor=executor)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                         alpha=2.0,
-                                         rng=np.random.default_rng(1),
-                                         inject=plan.executor_hook())
+        rep = parallel_fleet_solve(batch, workers=3, num_starts=8,
+                                   alpha=2.0, rng=np.random.default_rng(1),
+                                   executor=executor, faults={1: "crash"})
     assert any("degraded" in str(w.message) for w in caught)
-    assert rep.requeues == 1 and not rep.failures
+    assert rep.requeues == 1 and not rep.failed_shards
     np.testing.assert_array_equal(rep.result.eigenvalues,
                                   base.result.eigenvalues)
 
 
-def test_executor_exhausted_chunk_becomes_placeholder():
+@TIERS
+def test_executor_exhausted_chunk_becomes_placeholder(executor):
     batch = random_symmetric_batch(6, 4, 3,
                                    rng=np.random.default_rng(CHAOS_SEED))
-    plan = FaultPlan(crashes={0: 99})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=8,
-                                         alpha=2.0,
-                                         rng=np.random.default_rng(1),
-                                         inject=plan.executor_hook(),
-                                         max_requeues=1)
-    assert len(rep.failures) == 1
-    failure = rep.failures[0]
-    assert failure.chunk_index == 0 and failure.attempts == 2
-    assert "InjectedWorkerCrash" in failure.error
-    lo, hi = failure.tensor_range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = parallel_fleet_solve(batch, workers=3, num_starts=8,
+                                   alpha=2.0, rng=np.random.default_rng(1),
+                                   executor=executor, faults={0: "kill"},
+                                   max_requeues=0)
+    assert any("budget exhausted" in str(w.message) for w in caught)
+    assert rep.failed_shards == [0] and rep.requeues == 0
+    lo, hi = 0, rep.shard_sizes[0]
     assert np.isnan(rep.result.eigenvalues[lo:hi]).all()
     assert rep.result.failed[lo:hi].all()
     # the surviving chunks' results are intact and usable

@@ -382,6 +382,31 @@ class TestPlumbing:
         run_ids = {r["run"] for r in recs}
         assert len(run_ids) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("max_requeues,event,requeues,failed", [
+        (1, "requeue", 1, 0),
+        (0, "writeoff", 0, 1),
+    ])
+    def test_thread_tier_spools_crash_accounting(self, batch, tmp_path,
+                                                 max_requeues, event,
+                                                 requeues, failed):
+        from repro.parallel import parallel_fleet_solve
+
+        ev = tmp_path / "crash.jsonl"
+        rep = parallel_fleet_solve(batch, workers=2, num_starts=4,
+                                   max_iters=100, rng=0, executor="thread",
+                                   faults={1: "crash"},
+                                   max_requeues=max_requeues, events=str(ev))
+        assert (rep.requeues, len(rep.failed_shards)) == (requeues, failed)
+        recs = read_events(ev)
+        for rec in recs:
+            validate_event(rec)
+        assert [r["shard"] for r in recs if r["ev"] == event] == [1]
+        finish = [r for r in recs if r["ev"] == "run_finish"]
+        assert len(finish) == 1
+        assert (finish[0]["requeues"], finish[0]["failed"]) == \
+            (requeues, failed)
+
     def test_ambient_spool_wins_over_kwarg(self, batch, tmp_path):
         ambient = tmp_path / "ambient.jsonl"
         ignored = tmp_path / "ignored.jsonl"

@@ -25,7 +25,7 @@ from repro.instrument import (
 from repro.instrument.recorder import _NULL_SPAN
 from repro.kernels import UnknownVariantError, available_variants, get_kernels
 from repro.mri import extract_fibers_batch, make_phantom
-from repro.parallel import parallel_multistart_sshopm
+from repro.parallel import parallel_fleet_solve
 from repro.symtensor import random_symmetric_tensor
 from repro.util.flopcount import FlopCounter
 
@@ -370,17 +370,18 @@ class TestPipelineTracing:
 
     def test_parallel_workers_absorbed(self, phantom):
         with recording() as rec:
-            report = parallel_multistart_sshopm(
-                phantom.tensors, workers=2, num_starts=8, max_iters=40, rng=0
+            report = parallel_fleet_solve(
+                phantom.tensors, workers=2, num_starts=8, max_iters=40, rng=0,
+                executor="thread",
             )
         assert report.workers == 2
-        root_span = rec.find("parallel_multistart_sshopm")
+        root_span = rec.find("parallel_fleet_solve")
         assert root_span is not None
         names = set(root_span.children)
         assert "worker0" in names and "worker1" in names
         assert rec.gauges["parallel.workers"] == 2
         # per-worker gauges come back namespaced
-        assert "worker0.multistart.tensors" in rec.gauges
+        assert "worker0.fleet.tensors" in rec.gauges
         assert rec.total("flops") > 0
 
     def test_parallel_matches_serial_result(self, phantom):
@@ -388,10 +389,11 @@ class TestPipelineTracing:
 
         starts = starting_vectors(8, 3, rng=5)
         serial = multistart_sshopm(phantom.tensors, starts=starts, max_iters=40)
-        par = parallel_multistart_sshopm(
-            phantom.tensors, workers=3, starts=starts, max_iters=40
+        par = parallel_fleet_solve(
+            phantom.tensors, workers=3, starts=starts, max_iters=40,
+            executor="thread",
         ).result
-        np.testing.assert_allclose(serial.eigenvalues, par.eigenvalues)
+        np.testing.assert_array_equal(serial.eigenvalues, par.eigenvalues)
 
     def test_report_renders(self):
         tensor = random_symmetric_tensor(4, 3, rng=0)

@@ -25,7 +25,7 @@ from repro.mri import (
     sh_to_tensor,
     fit_sh,
 )
-from repro.parallel import parallel_multistart_sshopm, predict_cpu_sshopm
+from repro.parallel import parallel_fleet_solve, predict_cpu_sshopm
 from repro.symtensor import SymmetricTensorBatch
 
 
@@ -84,8 +84,8 @@ class TestSolverToPerformanceModel:
 
     def test_parallel_executor_full_application(self):
         phantom = make_phantom(rows=4, cols=2, num_gradients=24, rng=37)
-        rep = parallel_multistart_sshopm(phantom.tensors, workers=3,
-                                         num_starts=16, rng=38, max_iters=300)
+        rep = parallel_fleet_solve(phantom.tensors, workers=3, num_starts=16,
+                                   rng=38, max_iters=300, executor="thread")
         assert rep.result.eigenvalues.shape == (8, 16)
 
 

@@ -217,14 +217,14 @@ class TestSolverEmission:
         assert iters.labels(solver="x").count == 4
 
     def test_parallel_executor_merges_worker_registries(self):
-        from repro.parallel import parallel_multistart_sshopm
+        from repro.parallel import parallel_fleet_solve
         from repro.symtensor.random import random_symmetric_batch
 
         batch = random_symmetric_batch(6, 3, 4, rng=4)
         with use_registry() as reg:
-            parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                       alpha=1.0, max_iters=40)
+            parallel_fleet_solve(batch, workers=3, num_starts=4, alpha=1.0,
+                                 max_iters=40, executor="thread")
         runs = reg.counter("repro_solver_runs_total", labelnames=("solver",))
         pairs = reg.counter("repro_solver_pairs_total", labelnames=("solver",))
-        assert runs.labels(solver="multistart_sshopm").value == 3  # one per chunk
-        assert pairs.labels(solver="multistart_sshopm").value == 24
+        assert runs.labels(solver="fleet_solve").value == 3  # one per shard
+        assert pairs.labels(solver="fleet_solve").value == 24

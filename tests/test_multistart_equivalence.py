@@ -123,6 +123,53 @@ class TestAgainstLockstep:
         assert_equivalent(got, want)
 
 
+def _odeco_batch(m, n, count, seed):
+    return SymmetricTensorBatch.from_tensors(
+        [random_odeco_tensor(m, n, rng=seed + i)[0] for i in range(count)])
+
+
+def _n2_batch(m, count, seed):
+    return SymmetricTensorBatch.from_tensors(
+        [random_symmetric_tensor(m, 2, rng=seed + i) for i in range(count)])
+
+
+# (batch, start count, tol, max_iters): the ODECO, exact n=2 and random
+# fixtures above, stacked into batches so sharding has tensors to split
+SHARDED_FIXTURES = {
+    "odeco": (lambda: _odeco_batch(4, 3, 5, seed=7), 12, 1e-10, 3000),
+    "exact_n2": (lambda: _n2_batch(4, 5, seed=104), 8, 1e-10, 8000),
+    "random": (lambda: random_symmetric_batch(9, 4, 3, rng=3), 8, 1e-12, 60),
+}
+
+
+class TestShardedFleet:
+    """``parallel_fleet_solve``'s thread tier against one single-worker
+    ``multistart_sshopm`` run with the same starts: every (tensor, start)
+    lane is independent, so sharding the tensor axis must not change a
+    bit of the result -- more workers than tensors included."""
+
+    @pytest.mark.filterwarnings("ignore:workers=.*exceeds:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 9, 16])
+    @pytest.mark.parametrize("fixture", sorted(SHARDED_FIXTURES))
+    def test_bitwise_equal_to_single_worker(self, fixture, workers):
+        from repro.parallel.fleet import parallel_fleet_solve
+
+        make, num_starts, tol, max_iters = SHARDED_FIXTURES[fixture]
+        batch = make()
+        starts = starting_vectors(num_starts, batch.n, rng=17)
+        alpha = max(suggested_shift(t) for t in batch)
+        want = multistart_sshopm(batch, starts=starts, alpha=alpha, tol=tol,
+                                 max_iters=max_iters, backend="batched")
+        got = parallel_fleet_solve(batch, workers=workers, starts=starts,
+                                   alpha=alpha, tol=tol, max_iters=max_iters,
+                                   executor="thread").result
+        for name in ("eigenvalues", "eigenvectors", "converged",
+                     "iterations", "failed"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+        assert got.sweeps == want.sweeps
+
+
 class TestPhantomFibers:
     def test_fibers_identical_on_16x16_phantom(self, monkeypatch):
         import repro.mri.fibers as fibers

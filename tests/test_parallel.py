@@ -1,5 +1,5 @@
-"""Tests for the CPU-parallel substrate: partitioning, the multi-worker
-executor, and the calibrated CPU scaling model."""
+"""Tests for the CPU-parallel substrate: partitioning, the sharded fleet
+driver and its crash contract, and the calibrated CPU scaling model."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.multistart import starting_vectors
 from repro.gpu.device import NEHALEM_2S, CpuSpec
 from repro.parallel.cpumodel import CpuPerfParams, predict_cpu_sshopm, speedup_curve
-from repro.parallel.executor import parallel_multistart_sshopm
+from repro.parallel.fleet import parallel_fleet_solve
 from repro.parallel.partition import (
     PartitionError,
     chunk_sizes,
@@ -17,6 +17,8 @@ from repro.parallel.partition import (
     interleaved_partition,
     static_partition,
 )
+from repro.parallel.procfleet import default_start_method
+from repro.parallel.shm import SHM_AVAILABLE
 from repro.symtensor.random import random_symmetric_batch
 
 
@@ -99,38 +101,42 @@ class TestCostWeightedPartition:
 
 
 class TestExecutor:
+    @pytest.mark.filterwarnings("ignore:workers=.*exceeds:RuntimeWarning")
     def test_worker_count_invariance(self, rng):
         """The merged result is identical for any worker count (the paper's
         OpenMP loop is embarrassingly parallel)."""
         batch = random_symmetric_batch(9, 4, 3, rng=rng)
         starts = starting_vectors(8, 3, rng=1)
-        base = parallel_multistart_sshopm(batch, workers=1, starts=starts,
-                                          alpha=8.0, max_iters=1500)
+        base = parallel_fleet_solve(batch, workers=1, starts=starts,
+                                    alpha=8.0, max_iters=1500)
         for workers in (2, 4, 9, 16):
-            rep = parallel_multistart_sshopm(batch, workers=workers, starts=starts,
-                                             alpha=8.0, max_iters=1500)
-            assert np.allclose(rep.result.eigenvalues, base.result.eigenvalues)
-            assert np.allclose(rep.result.eigenvectors, base.result.eigenvectors)
+            rep = parallel_fleet_solve(batch, workers=workers, starts=starts,
+                                       alpha=8.0, max_iters=1500,
+                                       executor="thread")
+            assert np.array_equal(rep.result.eigenvalues, base.result.eigenvalues)
+            assert np.array_equal(rep.result.eigenvectors, base.result.eigenvectors)
             assert np.array_equal(rep.result.converged, base.result.converged)
 
     def test_chunk_metadata(self, rng):
         batch = random_symmetric_batch(10, 4, 3, rng=rng)
-        rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                         rng=2, max_iters=100)
+        rep = parallel_fleet_solve(batch, workers=3, num_starts=4,
+                                   rng=2, max_iters=100, executor="thread")
         assert rep.workers == 3
-        assert sum(rep.chunk_sizes) == 10
+        assert sum(rep.shard_sizes) == 10
         assert rep.seconds > 0
 
     def test_more_workers_than_tensors(self, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
-        rep = parallel_multistart_sshopm(batch, workers=8, num_starts=4,
-                                         rng=3, max_iters=100)
-        assert sum(rep.chunk_sizes) == 2
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            rep = parallel_fleet_solve(batch, workers=8, num_starts=4,
+                                       rng=3, max_iters=100,
+                                       executor="thread")
+        assert sum(rep.shard_sizes) == 2
 
     def test_invalid_worker_count(self, rng):
         batch = random_symmetric_batch(2, 4, 3, rng=rng)
         with pytest.raises(ValueError):
-            parallel_multistart_sshopm(batch, workers=0)
+            parallel_fleet_solve(batch, workers=0)
 
 
 class TestCpuModelAnchors:
@@ -207,109 +213,122 @@ class TestCpuModelShape:
         assert np.isclose(p.gflops, 0.5 * 16.0 * 2.0)
 
 
+def _crash_shard(monkeypatch, batch, lo, marker=None):
+    """Make ``fleet_solve`` raise for the shard whose first tensor is row
+    ``lo`` of ``batch``: on every attempt, or -- with ``marker`` -- only
+    on the first, and then after solving, so the crashed attempt leaves
+    metrics behind.  The marker is a file, so forked process workers see
+    it too."""
+    import os
+
+    import repro.engine.fleet as engine
+    import repro.parallel.procfleet as procfleet
+    from repro.resilience.faults import InjectedWorkerCrash
+
+    real = engine.fleet_solve
+
+    def fleet_solve(tensors, *args, **kwargs):
+        if not np.array_equal(tensors.values[0], batch.values[lo]):
+            return real(tensors, *args, **kwargs)
+        if marker is None:
+            raise InjectedWorkerCrash("persistent fault")
+        res = real(tensors, *args, **kwargs)
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return res
+        raise InjectedWorkerCrash("dies after solving")
+
+    monkeypatch.setattr(engine, "fleet_solve", fleet_solve)
+    monkeypatch.setattr(procfleet, "fleet_solve", fleet_solve)
+
+
 class TestHardenedExecutor:
-    """Crash-requeue and partial-failure behavior of the chunk executor."""
+    """The crash contract of ``parallel_fleet_solve``: requeue, write-off
+    and metric merging.  This class runs it on the thread tier; the
+    subclass below reruns every test on the process tier, so both tiers
+    pass the same tests."""
+
+    executor = "thread"
 
     def _batch(self, tensors=6):
         return random_symmetric_batch(tensors, 4, 3, rng=np.random.default_rng(3))
 
-    def test_inject_hook_sees_every_chunk(self):
-        batch = self._batch()
-        seen = []
-        parallel_multistart_sshopm(
-            batch, workers=3, num_starts=4, alpha=2.0,
-            rng=np.random.default_rng(0),
-            inject=lambda chunk, attempt: seen.append((chunk, attempt)),
-        )
-        assert sorted(seen) == [(0, 0), (1, 0), (2, 0)]
+    def _solve(self, batch, workers=3, **kw):
+        return parallel_fleet_solve(batch, workers=workers, num_starts=4,
+                                    alpha=2.0, rng=np.random.default_rng(0),
+                                    executor=self.executor, **kw)
 
     def test_crashed_chunk_requeues_to_same_result(self):
         batch = self._batch()
-        base = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                          alpha=2.0, rng=np.random.default_rng(0))
-        budget = {2: 1}
-
-        def inject(chunk, attempt):
-            if budget.get(chunk, 0) > attempt:
-                raise RuntimeError("synthetic worker death")
-
+        base = self._solve(batch)
         with pytest.warns(RuntimeWarning, match="degraded"):
-            rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=inject)
-        assert rep.requeues == 1 and not rep.failures
-        assert np.array_equal(rep.result.eigenvalues, base.result.eigenvalues)
+            rep = self._solve(batch, faults={2: "crash"})
+        assert rep.requeues == 1 and not rep.failed_shards
+        for name in ("eigenvalues", "eigenvectors", "converged",
+                     "iterations", "failed"):
+            assert np.array_equal(getattr(rep.result, name),
+                                  getattr(base.result, name)), name
         assert not rep.result.failed.any()
 
-    def test_exhausted_chunk_reported_not_raised(self):
+    def test_exhausted_chunk_reported_not_raised(self, monkeypatch):
         batch = self._batch()
-
-        def always_crash(chunk, attempt):
-            if chunk == 1:
-                raise RuntimeError("persistent fault")
-
-        with pytest.warns(RuntimeWarning):
-            rep = parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=always_crash,
-                                             max_requeues=1)
-        assert [f.chunk_index for f in rep.failures] == [1]
-        assert rep.failures[0].attempts == 2
-        lo, hi = rep.failures[0].tensor_range
-        assert np.isnan(rep.result.eigenvalues[lo:hi]).all()
-        assert rep.result.failed[lo:hi].all()
-        assert not rep.result.failed[:lo].any()
-        assert not rep.result.failed[hi:].any()
+        _crash_shard(monkeypatch, batch, lo=2)  # shard 1 covers rows [2, 4)
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            rep = self._solve(batch, max_requeues=1)
+        assert rep.failed_shards == [1]
+        assert rep.requeues == 1
+        assert np.isnan(rep.result.eigenvalues[2:4]).all()
+        assert rep.result.failed[2:4].all()
+        assert not rep.result.failed[:2].any()
+        assert not rep.result.failed[4:].any()
         # merged shapes stay consistent with the healthy layout
         assert rep.result.eigenvalues.shape == (len(batch), 4)
 
     def test_zero_requeues_budget(self):
         batch = self._batch()
-
-        def crash_once(chunk, attempt):
-            if chunk == 0 and attempt == 0:
-                raise RuntimeError("one-shot fault")
-
-        with pytest.warns(RuntimeWarning):
-            rep = parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0),
-                                             inject=crash_once,
-                                             max_requeues=0)
+        with pytest.warns(RuntimeWarning, match="budget exhausted"):
+            rep = self._solve(batch, workers=2, faults={0: "crash"},
+                              max_requeues=0)
         assert rep.requeues == 0
-        assert [f.chunk_index for f in rep.failures] == [0]
+        assert rep.failed_shards == [0]
+        assert rep.result.failed[:3].all() and not rep.result.failed[3:].any()
 
-    def test_partial_metrics_merge_from_crashed_chunk(self):
+    def test_partial_metrics_merge_from_crashed_chunk(self, monkeypatch,
+                                                      tmp_path):
         from repro.instrument.metrics import use_registry
 
         batch = self._batch()
-
-        def crash_chunk_one(chunk, attempt):
-            if chunk == 1 and attempt == 0:
-                raise RuntimeError("dies after registry creation")
-
+        _crash_shard(monkeypatch, batch, lo=2, marker=tmp_path / "crashed")
         with use_registry() as reg:
             with pytest.warns(RuntimeWarning):
-                parallel_multistart_sshopm(batch, workers=3, num_starts=4,
-                                           alpha=2.0,
-                                           rng=np.random.default_rng(0),
-                                           inject=crash_chunk_one)
+                rep = self._solve(batch)
+        assert rep.requeues == 1 and not rep.failed_shards
         names = {m["name"] for m in reg.snapshot()["metrics"]}
         assert "repro_requeues_total" in names
-        # solver metrics from the surviving + requeued chunks merged in
-        assert any(n.startswith("repro_solver") for n in names)
+        # three shards plus the crashed attempt, which solved before dying
+        runs = reg.counter("repro_solver_runs_total", labelnames=("solver",))
+        assert runs.labels(solver="fleet_solve").value == 4
 
     def test_failed_lanes_counted_in_dead_lane_metric(self):
+        from repro.core.multistart import multistart_sshopm
         from repro.instrument.metrics import use_registry
 
         batch = self._batch(tensors=2)
         batch.values[:] = np.nan
+        rep = self._solve(batch, workers=2)
+        assert rep.result.failed.all() and not rep.failed_shards
         with use_registry() as reg:
-            rep = parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                             alpha=2.0,
-                                             rng=np.random.default_rng(0))
-        assert rep.result.failed.all()
+            res = multistart_sshopm(batch, num_starts=4, alpha=2.0,
+                                    rng=np.random.default_rng(0))
+        assert res.failed.all()
         names = {m["name"] for m in reg.snapshot()["metrics"]}
         assert "repro_multistart_dead_lanes_total" in names
+
+
+@pytest.mark.skipif(
+    not SHM_AVAILABLE or default_start_method() != "fork",
+    reason="needs shared_memory and forked workers, which inherit the "
+           "patched fleet_solve")
+class TestHardenedProcessExecutor(TestHardenedExecutor):
+    executor = "process"

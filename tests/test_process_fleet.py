@@ -241,6 +241,12 @@ class TestProcessExecutor:
             parallel_fleet_solve(batch, workers=2, num_starts=4, rng=0,
                                  executor="mpi")
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_unknown_fault_kind_rejected(self, batch, executor):
+        with pytest.raises(ValueError, match="crsh"):
+            parallel_fleet_solve(batch, workers=2, num_starts=4, rng=0,
+                                 executor=executor, faults={0: "crsh"})
+
     def test_workers_clamped_with_warning(self, starts):
         small = random_symmetric_batch(2, 4, 3, rng=np.random.default_rng(3))
         with pytest.warns(RuntimeWarning, match="clamping"):
@@ -304,6 +310,18 @@ class TestFacadeIntegration:
         assert proc.extra.executor == "process"
         assert_bitwise(one.result, proc.result)
         assert active_segments() == []
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_workers_honor_solve_config(self, batch, executor):
+        cfg = SolveConfig(alpha=3.0, tol=1e-6, max_iters=20, num_starts=5)
+        one = repro.solve(batch, config=cfg, rng=1)
+        par = repro.solve(batch, config=cfg, rng=1, workers=2,
+                          executor=executor)
+        assert par.solver == "parallel_fleet_solve"
+        assert par.extra.executor == executor
+        assert par.result.eigenvalues.shape == (len(batch), 5)
+        assert par.result.sweeps == one.result.sweeps <= 20
+        assert_bitwise(one.result, par.result)
 
     def test_single_worker_ignores_executor_option(self, batch, starts):
         rep = repro.solve(batch, starts=starts, alpha=4.0, max_iters=100,

@@ -265,6 +265,8 @@ class TestJobSpec:
         {**SPEC, "deadline_seconds": -1},
         {**SPEC, "num_starts": 0},
         {**SPEC, "alpha": "wat"},
+        {**SPEC, "faults": {"0": "crsh"}},              # unknown fault kind
+        {**SPEC, "faults": ["kill"]},
     ])
     def test_bad_docs_rejected(self, doc):
         with pytest.raises(BadSpec):
@@ -573,6 +575,10 @@ class TestServerHTTP:
         _, base = server
         status, _, doc = _http("POST", base + "/solve", {"tensors": 7})
         assert status == 400 and doc["error"] == "bad_request"
+        # a typo'd chaos fault must not silently inject nothing
+        status, _, doc = _http("POST", base + "/solve",
+                               {**SPEC, "faults": {"0": "crsh"}})
+        assert status == 400 and "crsh" in doc["detail"]
         # invalid JSON body
         req = urllib.request.Request(
             base + "/solve", data=b"{nope", method="POST",

@@ -151,15 +151,14 @@ class TestSolverAttachment:
                                 rec.telemetry[0].to_dict())
 
     def test_worker_streams_namespaced_on_absorb(self):
-        from repro.parallel import parallel_multistart_sshopm
+        from repro.parallel import parallel_fleet_solve
 
         batch = random_symmetric_batch(4, 3, 4, rng=5)
         with recording() as rec:
-            parallel_multistart_sshopm(batch, workers=2, num_starts=4,
-                                       alpha=1.0, max_iters=40)
+            parallel_fleet_solve(batch, workers=2, num_starts=4, alpha=1.0,
+                                 max_iters=40, executor="thread")
         names = sorted(t.name for t in rec.telemetry)
-        assert names == ["worker0.multistart_sshopm",
-                         "worker1.multistart_sshopm"]
+        assert names == ["worker0.fleet_solve", "worker1.fleet_solve"]
 
     def test_nan_columns_serialize(self):
         tel = ConvergenceTelemetry("t")
