@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, report
-from repro.core.adaptive import adaptive_sshopm
+from repro.solvers import adaptive_sshopm
 from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import suggested_shift
+from repro.solvers import suggested_shift
 from repro.mri.phantom import make_phantom
 
 

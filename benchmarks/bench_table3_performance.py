@@ -21,7 +21,7 @@ import pytest
 
 from benchmarks.conftest import format_table, report
 from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm
+from repro.solvers import sshopm
 from repro.gpu.kernelspec import sshopm_launch
 from repro.gpu.perfmodel import predict_sshopm
 from repro.parallel.cpumodel import predict_cpu_sshopm

@@ -1,14 +1,9 @@
 """The paper's primary contribution: SS-HOPM and eigenpair extraction.
 
-The solver implementations moved to :mod:`repro.solvers` in PR 10; the
-function names below stay re-exported for compatibility.  The shim
-submodules must enter ``sys.modules`` *before* the function names are
-bound, otherwise a later ``from repro.core.sshopm import ...`` would
-set the submodule as the package attribute and shadow the function.
+The single-start solvers live in :mod:`repro.solvers`; their function
+names stay re-exported here (``from repro.core import sshopm``).
 """
 
-from repro.core import adaptive as _shim_adaptive  # noqa: F401
-from repro.core import sshopm as _shim_sshopm  # noqa: F401
 from repro.solvers.adaptive import adaptive_sshopm
 from repro.core.config import SolveConfig
 from repro.core.basins import (

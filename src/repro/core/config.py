@@ -1,7 +1,7 @@
 """Shared solver configuration (`SolveConfig`) and signature shims.
 
-Every SS-HOPM driver (:func:`~repro.core.sshopm.sshopm`,
-:func:`~repro.core.adaptive.adaptive_sshopm`,
+Every SS-HOPM solver (:func:`~repro.solvers.sshopm.sshopm`,
+:func:`~repro.solvers.adaptive.adaptive_sshopm`,
 :func:`~repro.core.multistart.multistart_sshopm`,
 :func:`~repro.core.solve.find_eigenpairs` and friends) accepts the same
 normalized keyword vocabulary — ``alpha=``, ``tol=``, ``max_iters=``,

@@ -169,6 +169,7 @@ def multistart_sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
+    stop=None,
     max_iter: int | None = None,
 ) -> MultistartResult:
     """Run SS-HOPM for every (tensor, starting vector) pair on the fleet
@@ -179,7 +180,7 @@ def multistart_sshopm(
     tensors : a batch (or single tensor, treated as a batch of one).
     num_starts : ``V`` (default 128); ignored when ``starts`` is given
         explicitly.
-    alpha : shift, as in :func:`repro.core.sshopm.sshopm` (default 0).
+    alpha : shift, as in :func:`repro.solvers.sshopm.sshopm` (default 0).
     tol : per-pair convergence threshold on ``|delta lambda|``
         (default ``1e-10``).
     max_iters : sweep cap per pair (default 500; ``max_iter=`` is the
@@ -211,6 +212,10 @@ def multistart_sshopm(
         when *every* lane dies numerically (total collapse — nothing
         recoverable).  Individual dead lanes are always tolerated, retired,
         and reported via the result's ``failed`` mask.
+    stop : optional zero-argument callable polled once per sweep; when
+        truthy the still-active pairs retire unconverged with their
+        current iterates (the engine's cancellation hook, which
+        ``repro.solve(deadline=...)`` rides on).
 
     Notes
     -----
@@ -249,7 +254,7 @@ def multistart_sshopm(
         res, seconds = _run_fleet(
             tensors, num_starts, alpha, tol, max_iters, starts, scheme,
             dtype=dtype, rng=rng, counter=counter, plan=plan,
-            telemetry=telemetry, guards=False)
+            telemetry=telemetry, guards=False, stop=stop)
     V = res.eigenvalues.shape[1]
     _gauge("multistart.tensors", T)
     _gauge("multistart.starts", V)

@@ -1,6 +1,6 @@
 """Normalized result types: one protocol across every solver.
 
-Every solver result — :class:`~repro.core.sshopm.SSHOPMResult` (one
+Every solver result — :class:`~repro.solvers.sshopm.SSHOPMResult` (one
 tensor, one start), :class:`~repro.core.multistart.MultistartResult`
 (batched multistart), and :class:`FleetResult` (the fleet engine's
 whole-workload solve) — satisfies :class:`ResultProtocol`: it exposes

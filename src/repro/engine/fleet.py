@@ -57,7 +57,7 @@ _OSC_WINDOW = 4
 def suggested_shifts(tensors: SymmetricTensorBatch) -> np.ndarray:
     """Per-tensor convergence-guaranteeing shifts ``m (m-1) ||A_t||_F``.
 
-    The batched analog of :func:`repro.core.sshopm.suggested_shift`,
+    The batched analog of :func:`repro.solvers.sshopm.suggested_shift`,
     computed in one vectorized pass over the compressed values.
     """
     m, n = tensors.m, tensors.n

@@ -1,7 +1,7 @@
 """``repro.solve`` — one front door for every eigensolver in the package.
 
-The solvers grew up separately: :func:`~repro.core.sshopm.sshopm` for one
-tensor and one start, :func:`~repro.core.adaptive.adaptive_sshopm` for
+The solvers grew up separately: :func:`~repro.solvers.sshopm.sshopm` for one
+tensor and one start, :func:`~repro.solvers.adaptive.adaptive_sshopm` for
 the self-tuning shift, :func:`~repro.core.multistart.multistart_sshopm`
 for the batched multistart (itself an adapter over the fleet engine), and
 the fleet engine
@@ -146,20 +146,26 @@ def _split_starts(request: SolveRequest):
 
 def _fold_deadline(opts: dict, config: SolveConfig | None) -> dict:
     """Translate ``deadline=`` (or ``config.deadline``) into the solver's
-    ``stop=`` hook, mirroring the fleet path's convention."""
+    ``stop=`` hook.  Every route but ``parallel_fleet_solve`` (whose
+    process workers check the deadline themselves) speaks ``stop=``."""
     deadline = opts.pop("deadline", None)
     if deadline is None and config is not None:
         deadline = config.deadline
-    if deadline is not None and "stop" not in opts:
-        opts["stop"] = lambda: time.time() >= deadline
+    if deadline is not None:
+        stop = opts.get("stop")  # a caller's own hook still fires too
+        opts["stop"] = lambda: (time.time() >= deadline
+                                or (stop is not None and bool(stop())))
     return opts
 
 
 # Options only the fleet/multistart drivers understand; uniform callers
 # (the CLI passes its full flag set regardless of method) may hand them
-# to geap/qrst, where they have no meaning and are dropped.
+# to a single-start solver, where they have no meaning and are dropped.
 _FLEET_ONLY_OPTS = ("variant", "backend", "codegen_backend",
                     "compact_every", "scheme", "executor", "events")
+
+
+_SINGLE_START = ("sshopm", "adaptive_sshopm", "geap", "qrst")
 
 
 def _strip_fleet_opts(opts: dict) -> dict:
@@ -218,7 +224,17 @@ def solve(
         (``"numpy"`` / ``"numba"`` / ``"cuda-src"``, selecting the
         compiler — see :mod:`repro.kernels.codegen`) or, for backward
         compatibility, a batched variant name; ``codegen_backend=``
-        names the compiler unambiguously.
+        names the compiler unambiguously.  ``deadline=`` (epoch
+        seconds, default ``config.deadline``) is honoured on every route:
+        it becomes the solver's ``stop=`` hook, so a run that reaches it
+        returns its current state unconverged.
+
+    ``config.retry`` (a :class:`~repro.resilience.retry.RetryPolicy`)
+    re-runs the single-start routes (``sshopm``, ``adaptive_sshopm``,
+    ``geap``, ``qrst``) on a retryable
+    :class:`~repro.resilience.guards.SolveFailure`; the
+    :class:`~repro.resilience.retry.RetryOutcome` lands in
+    ``report.extra``.
 
     Routing
     -------
@@ -274,81 +290,33 @@ def solve(
     gauge("solve.solver", solver)
 
     t0 = time.perf_counter()
-    if solver == "geap":
-        from repro.resilience.retry import run_with_retry
-        from repro.solvers.geap import geap
-
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
-        x0 = explicit
-        policy = config.retry if config is not None else None
-        if policy is not None:
-            outcome = run_with_retry(
-                lambda attempt: geap(
-                    problem, x0=x0 if attempt == 0 else None, tol=tol,
-                    max_iters=max_iters, config=config, rng=rng, **opts,
-                ),
-                policy, solver="geap", rng=rng,
-            )
-            result, extra = outcome.result, outcome
-        else:
-            result = geap(problem, x0=x0, tol=tol, max_iters=max_iters,
-                          config=config, rng=rng, **opts)
-    elif solver == "qrst":
-        from repro.resilience.retry import run_with_retry
-        from repro.solvers.qrst import qrst
-
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
-        opts.pop("mode", None)  # QRST has no spectrum-target switch
-        policy = config.retry if config is not None else None
-        if policy is not None:
-            outcome = run_with_retry(
-                lambda attempt: qrst(
-                    problem, tol=tol, max_iters=max_iters, config=config,
-                    rng=rng, **opts,
-                ),
-                policy, solver="qrst", rng=rng,
-            )
-            result, extra = outcome.result, outcome
-        else:
-            result = qrst(problem, tol=tol, max_iters=max_iters,
-                          config=config, rng=rng, **opts)
+    if solver.startswith("parallel_fleet_solve"):
+        opts = dict(options)  # shards check deadline= themselves
+    else:
+        opts = _fold_deadline(dict(options), config)
+    if request.method not in (None, "sshopm", "geap", "qrst"):
+        result = _solve_custom_entry(request, count, tol, max_iters, opts)
+    elif solver in _SINGLE_START:
+        result, extra = _solve_single(request, solver, explicit, opts)
     elif solver == "qrst_batch":
         from repro.solvers.qrst import qrst_batch
 
-        opts = _strip_fleet_opts(_fold_deadline(dict(options), config))
+        opts = _strip_fleet_opts(opts)
         opts.pop("mode", None)
         result = qrst_batch(
             problem, num_starts=count or 8, tol=tol, max_iters=max_iters,
             rng=rng, config=config, **opts,
         )
-    elif request.method not in (None, "sshopm", "geap", "qrst"):
-        result = _solve_custom_entry(request, count, tol, max_iters)
-    elif solver in ("sshopm", "adaptive_sshopm"):
-        x0 = explicit if explicit is not None else None
-        if solver == "adaptive_sshopm":
-            from repro.solvers.adaptive import adaptive_sshopm
-
-            opts = dict(options)
-            # adaptive picks its own shift trajectory; alpha seeds it as tau
-            opts.pop("variant", None)
-            result = adaptive_sshopm(
-                problem, x0=x0, tol=tol, max_iters=max_iters,
-                config=config, rng=rng, **opts,
-            )
-        else:
-            from repro.solvers.sshopm import sshopm
-
-            result = sshopm(problem, x0=x0, rng=rng, **common, **options)
     elif solver == "multistart_sshopm":
         from repro.core.multistart import multistart_sshopm
 
         result = multistart_sshopm(
             problem, num_starts=count, starts=explicit, rng=rng,
-            **common, **options,
+            **common, **opts,
         )
     else:
         batch = problem
-        fleet_opts = dict(options)
+        fleet_opts = opts
         if request.method == "geap":
             # GEAP rides the fleet lanes with per-sweep projected shifts;
             # a multistart single tensor runs as a singleton batch
@@ -398,12 +366,6 @@ def solve(
             # executor-tier options are meaningless without sharding
             for key in ("executor", "steal", "start_method"):
                 fleet_opts.pop(key, None)
-            # the engine speaks stop= only; fold a deadline into the hook
-            deadline = fleet_opts.pop("deadline", None)
-            if deadline is None and config is not None:
-                deadline = config.deadline
-            if deadline is not None and "stop" not in fleet_opts:
-                fleet_opts["stop"] = lambda: time.time() >= deadline
             # the engine takes no events= keyword; the facade opens the
             # spool so engine-level events (retirements, compactions,
             # plan-cache traffic) still stream for single-shard runs
@@ -444,7 +406,41 @@ def solve(
     )
 
 
-def _solve_custom_entry(request: SolveRequest, count, tol, max_iters):
+def _solve_single(request: SolveRequest, solver: str, x0, opts: dict):
+    """One tensor, one start: ``sshopm``, ``adaptive_sshopm``, ``geap`` or
+    ``qrst``.  With ``config.retry`` set, a retryable
+    :class:`~repro.resilience.guards.SolveFailure` re-runs the solver
+    (from a fresh random start after the first attempt) under
+    :func:`~repro.resilience.retry.run_with_retry`, whose
+    :class:`~repro.resilience.retry.RetryOutcome` becomes the report's
+    ``extra``.  Returns ``(result, extra)``."""
+    from repro.resilience.retry import run_with_retry
+    from repro.solvers import adaptive_sshopm, geap, qrst, sshopm
+
+    fn = {"sshopm": sshopm, "adaptive_sshopm": adaptive_sshopm,
+          "geap": geap, "qrst": qrst}[solver]
+    config, rng = request.config, request.rng
+    kwargs = dict(tol=request.tol, max_iters=request.max_iters,
+                  config=config, rng=rng, **_strip_fleet_opts(opts))
+    if solver == "sshopm":
+        kwargs["alpha"] = request.alpha
+    if solver == "qrst":
+        kwargs.pop("mode", None)  # QRST has no spectrum-target switch
+
+    def attempt(k: int):
+        if solver != "qrst":
+            kwargs["x0"] = x0 if k == 0 else None
+        return fn(request.problem, **kwargs)
+
+    policy = config.retry if config is not None else None
+    if policy is None:
+        return attempt(0), None
+    outcome = run_with_retry(attempt, policy, solver=solver, rng=rng)
+    return outcome.result, outcome
+
+
+def _solve_custom_entry(request: SolveRequest, count, tol, max_iters,
+                        opts: dict):
     """Route a third-party registered method through its
     :class:`~repro.solvers.registry.SolverEntry` callables.
 
@@ -459,7 +455,6 @@ def _solve_custom_entry(request: SolveRequest, count, tol, max_iters):
 
     entry = get_solver(request.method)
     config, rng = request.config, request.rng
-    opts = _fold_deadline(dict(request.options), config)
     common = dict(tol=tol, max_iters=max_iters, config=config, rng=rng)
     if not request.is_batch:
         if entry.single is None:

@@ -52,9 +52,9 @@ from repro.resilience.retry import (
     escalate_shift,
     run_with_retry,
 )
-# Runner symbols are re-exported lazily: runner imports repro.core.sshopm,
-# which itself imports repro.resilience.guards — an eager import here would
-# close that cycle while repro.core.sshopm is still half-initialized.
+# Runner symbols are re-exported lazily: runner imports repro.solvers.sshopm,
+# whose scaffold imports repro.resilience.guards — an eager import here would
+# close that cycle while repro.solvers.sshopm is still half-initialized.
 _RUNNER_EXPORTS = ("ResilientSweepResult", "StartReport", "resilient_multistart")
 
 

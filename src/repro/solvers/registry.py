@@ -2,10 +2,13 @@
 
 Every eigensolver in the package is a :class:`SolverEntry` registered
 under a short method name (``"sshopm"``, ``"geap"``, ``"qrst"``).  The
-facade looks the requested method up with :func:`get_solver` and calls
-the entry's ``single`` (one tensor) or ``batch`` (a
-:class:`~repro.symtensor.storage.SymmetricTensorBatch`) callable;
-``method="auto"`` picks a name via :func:`choose_method` first.
+facade validates the requested method with :func:`get_solver`
+(``method="auto"`` picks a name via :func:`choose_method` first).  The
+built-in names route by request shape inside the facade: one start runs
+the single-start solver, many starts or a batch run the fleet engine
+(or ``qrst_batch``).  A third-party entry is called through its own
+``single`` (one tensor) or ``batch`` (a
+:class:`~repro.symtensor.storage.SymmetricTensorBatch`) callable.
 
 Third-party solvers plug in the same way (see ``docs/solvers.md``)::
 

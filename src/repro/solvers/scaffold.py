@@ -8,6 +8,11 @@ on both success and structured failure — attach telemetry and account
 the run in the metrics registry.  :func:`prepare` and :func:`finish` /
 :func:`record_failure` centralize that so a new solver (GEAP, QRST, or a
 third-party registry entry) is mostly its iteration loop.
+
+The shifted power iteration itself (Figure 1) lives here once, as
+:meth:`SolverScaffold.iterate`: ``sshopm``, ``adaptive_sshopm`` and
+``geap`` differ only in the shift each step applies, so each passes its
+shift policy and sign rule and the loop does the rest.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ import numpy as np
 
 from repro.core.config import SolveConfig, resolve_option
 from repro.instrument import current_recorder, instrumented_pair
+from repro.instrument import span as _span
 from repro.instrument.metrics import observe_solver_run
 from repro.instrument.telemetry import ConvergenceTelemetry, telemetry_enabled
 from repro.kernels.dispatch import KernelPair, get_kernels
-from repro.resilience.guards import IterationGuard, resolve_guards
+from repro.resilience.guards import IterationGuard, SolveFailure, resolve_guards
 from repro.symtensor.storage import SymmetricTensor
+from repro.util.flopcount import FlopCounter, null_counter
 from repro.util.rng import random_unit_vector
 
 __all__ = ["SolverScaffold", "prepare", "start_vector"]
@@ -42,6 +49,7 @@ class SolverScaffold:
     recorder: object
     telemetry: ConvergenceTelemetry | None
     guard: IterationGuard | None
+    counter: FlopCounter
     t0: float
 
     def finish(self, *, iterations: int, converged: bool, lam: float,
@@ -69,6 +77,87 @@ class SolverScaffold:
         observe_solver_run(self.solver, time.perf_counter() - self.t0,
                            failure.iteration, 0, 1)
 
+    def iterate(self, x: np.ndarray, shift, *, negate: bool = False,
+                stop=None):
+        """Run the shifted power iteration from the unit vector ``x``::
+
+            x_{k+1} = normalize( +-(A x_k^{m-1} + alpha_k x_k) ),
+            lambda_{k+1} = A x_{k+1}^m,
+
+        until ``|lambda_{k+1} - lambda_k| < tol`` or ``max_iters`` steps.
+
+        ``shift`` is either a fixed ``alpha`` or a policy
+        ``shift(x_k, k) -> alpha_k`` called at the top of step ``k``
+        (inside its ``iteration`` span); ``negate`` flips every update
+        (the concave case).  ``stop`` is polled before each step; when
+        truthy the run ends unconverged with its current state.  A zero
+        or nonfinite update ends the run unconverged at the current
+        iterate (or raises through the guard when one is armed).
+
+        The run is accounted here (:meth:`finish`, or
+        :meth:`record_failure` before a :class:`SolveFailure`
+        propagates).  Returns ``(lam, x, iterations, converged, residual,
+        history, last_shift)``; ``last_shift`` is the shift of the last
+        step taken (``0.0`` for a policy that took none).
+        """
+        tensor, kernels, guard, tel = (
+            self.tensor, self.kernels, self.guard, self.telemetry)
+        policy = shift if callable(shift) else None
+        alpha = 0.0 if policy is not None else float(shift)
+        update_flops = 4 * tensor.n + 1  # axpy (2n) and the norm (2n + 1)
+        try:
+            with _span(self.solver):
+                lam = float(kernels.ax_m(tensor, x))
+                history = [lam]
+                if guard is not None:
+                    guard.note_start(lam, x)
+                converged = False
+                iterations = 0
+                for _ in range(self.max_iters):
+                    if stop is not None and stop():
+                        break
+                    with _span("iteration"):
+                        iterations += 1
+                        if policy is not None:
+                            alpha = policy(x, iterations)
+                        y = np.asarray(kernels.ax_m1(tensor, x))
+                        x_new = y + alpha * x
+                        if negate:
+                            x_new = -x_new
+                        norm = np.linalg.norm(x_new)
+                        self.counter.add_flops(update_flops)
+                        if guard is not None:
+                            guard.check_update(iterations, float(norm))
+                        if norm == 0.0 or not np.isfinite(norm):
+                            break
+                        x_prev = x
+                        x = x_new / norm
+                        lam_new = float(kernels.ax_m(tensor, x))
+                        history.append(lam_new)
+                        if tel is not None:
+                            tel.append(
+                                iterations, lam_new,
+                                residual=float(np.linalg.norm(y - lam * x_prev)),
+                                shift=alpha,
+                                step_norm=float(np.linalg.norm(x - x_prev)),
+                            )
+                        if guard is not None:
+                            guard.check(iterations, lam_new, x)
+                        if abs(lam_new - lam) < self.tol:
+                            lam = lam_new
+                            converged = True
+                            break
+                        lam = lam_new
+
+                residual = float(np.linalg.norm(
+                    np.asarray(kernels.ax_m1(tensor, x)) - lam * x))
+        except SolveFailure as failure:
+            self.record_failure(failure)
+            raise
+        self.finish(iterations=iterations, converged=converged, lam=lam,
+                    residual=residual, shift=alpha)
+        return lam, x, iterations, converged, residual, history, alpha
+
 
 def prepare(
     solver: str,
@@ -86,7 +175,11 @@ def prepare(
     max_iters_default: int = 500,
     counter=None,
 ) -> SolverScaffold:
-    """Resolve the shared options and wire up recorder/telemetry/guards."""
+    """Resolve the shared options and wire up recorder/telemetry/guards.
+
+    ``counter`` receives the run's flop charges; with a recorder active
+    it is mirrored by a recorder counter that also charges the kernels,
+    so trace totals and counter totals agree."""
     tol = resolve_option("tol", tol, config, tol_default)
     max_iters = resolve_option("max_iters", max_iters, config, max_iters_default)
     kernels = resolve_option("kernels", kernels, config, None)
@@ -94,11 +187,13 @@ def prepare(
     guard_cfg = resolve_guards(resolve_option("guards", guards, config, None))
 
     recorder = current_recorder()
+    counter = counter or null_counter()
+    if recorder is not None:
+        counter = recorder.flop_counter(mirror=counter)
     if isinstance(kernels, str) or kernels is None:
         kernels = get_kernels(kernels or "precomputed", tensor.m, tensor.n)
     if recorder is not None:
-        kernels = instrumented_pair(
-            kernels, counter=recorder.flop_counter(mirror=counter))
+        kernels = instrumented_pair(kernels, counter=counter)
     tel = None
     if telemetry_enabled(telemetry, recorder):
         meta = {"m": tensor.m, "n": tensor.n, "tol": tol}
@@ -110,7 +205,7 @@ def prepare(
     return SolverScaffold(
         solver=solver, tensor=tensor, tol=tol, max_iters=max_iters,
         kernels=kernels, rng=rng, recorder=recorder, telemetry=tel,
-        guard=guard, t0=time.perf_counter(),
+        guard=guard, counter=counter, t0=time.perf_counter(),
     )
 
 

@@ -17,21 +17,16 @@ test set.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import SolveConfig, reconcile_max_iters, resolve_option
-from repro.instrument import current_recorder, instrumented_pair
-from repro.instrument import span as _span
-from repro.instrument.metrics import observe_solver_run
-from repro.instrument.telemetry import ConvergenceTelemetry, telemetry_enabled
-from repro.kernels.dispatch import KernelPair, get_kernels
-from repro.resilience.guards import IterationGuard, SolveFailure, resolve_guards
+from repro.instrument.telemetry import ConvergenceTelemetry
+from repro.kernels.dispatch import KernelPair
+from repro.solvers.scaffold import prepare, start_vector
 from repro.symtensor.storage import SymmetricTensor
-from repro.util.flopcount import FlopCounter, null_counter
-from repro.util.rng import random_unit_vector
+from repro.util.flopcount import FlopCounter
 
 __all__ = ["SSHOPMResult", "sshopm", "suggested_shift"]
 
@@ -117,6 +112,7 @@ def sshopm(
     *,
     telemetry: bool | None = None,
     guards=None,
+    stop=None,
     max_iter: int | None = None,
 ) -> SSHOPMResult:
     """Run SS-HOPM (Figure 1) from one starting vector.
@@ -151,6 +147,10 @@ def sshopm(
         on NaN/Inf, a collapsed update, lambda oscillation, or stalled
         progress, instead of the legacy freeze-and-return-unconverged
         behavior (default: off).
+    stop : optional zero-argument callable polled once per iteration;
+        when truthy the run returns immediately with its current state
+        (``converged=False``) — the hook ``repro.solve(deadline=...)``
+        rides on.
 
     Notes
     -----
@@ -163,105 +163,13 @@ def sshopm(
     """
     max_iters = reconcile_max_iters(max_iters, max_iter)
     alpha = resolve_option("alpha", alpha, config, 0.0)
-    tol = resolve_option("tol", tol, config, 1e-12)
-    max_iters = resolve_option("max_iters", max_iters, config, 500)
-    kernels = resolve_option("kernels", kernels, config, None)
-    rng = resolve_option("rng", rng, config, None)
-    guards = resolve_guards(resolve_option("guards", guards, config, None))
-
-    recorder = current_recorder()
-    counter = counter or null_counter()
-    if recorder is not None:
-        counter = recorder.flop_counter(mirror=counter)
-    if isinstance(kernels, str) or kernels is None:
-        kernels = get_kernels(kernels or "precomputed", tensor.m, tensor.n)
-    if recorder is not None:
-        kernels = instrumented_pair(kernels, counter=counter)
-    tel = None
-    if telemetry_enabled(telemetry, recorder):
-        tel = ConvergenceTelemetry(
-            "sshopm",
-            meta={"m": tensor.m, "n": tensor.n, "alpha": alpha, "tol": tol},
-        )
-    if x0 is None:
-        x0 = random_unit_vector(tensor.n, rng=rng)
-    x = np.asarray(x0, dtype=np.float64)
-    if x.shape != (tensor.n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({tensor.n},)")
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        raise ValueError("starting vector must be nonzero")
-    x = x / norm
-
-    guard = None
-    if guards is not None:
-        guard = IterationGuard(guards, solver="sshopm", tol=tol)
-
-    t0 = time.perf_counter()
-    try:
-        with _span("sshopm"):
-            lam = float(kernels.ax_m(tensor, x))
-            history = [lam]
-            if guard is not None:
-                guard.note_start(lam, x)
-            converged = False
-            iterations = 0
-            for _ in range(max_iters):
-                with _span("iteration"):
-                    iterations += 1
-                    y = np.asarray(kernels.ax_m1(tensor, x))
-                    x_new = y + alpha * x
-                    if alpha < 0:
-                        x_new = -x_new
-                    counter.add_flops(2 * tensor.n)
-                    norm = np.linalg.norm(x_new)
-                    counter.add_flops(2 * tensor.n + 1)
-                    if guard is not None:
-                        guard.check_update(iterations, float(norm))
-                    if norm == 0.0 or not np.isfinite(norm):
-                        break
-                    x_prev = x
-                    x = x_new / norm
-                    lam_new = float(kernels.ax_m(tensor, x))
-                    history.append(lam_new)
-                    if tel is not None:
-                        tel.append(
-                            iterations, lam_new,
-                            residual=float(np.linalg.norm(y - lam * x_prev)),
-                            shift=alpha,
-                            step_norm=float(np.linalg.norm(x - x_prev)),
-                        )
-                    if guard is not None:
-                        guard.check(iterations, lam_new, x)
-                    if abs(lam_new - lam) < tol:
-                        lam = lam_new
-                        converged = True
-                        break
-                    lam = lam_new
-
-            residual = float(np.linalg.norm(np.asarray(kernels.ax_m1(tensor, x)) - lam * x))
-    except SolveFailure as failure:
-        # structured abort: hand the telemetry stream to the failure and
-        # still account the (failed) run in the metrics registry
-        failure.telemetry = tel
-        if tel is not None and recorder is not None:
-            recorder.add_telemetry(tel)
-        observe_solver_run("sshopm", time.perf_counter() - t0,
-                           failure.iteration, 0, 1)
-        raise
-    if tel is not None:
-        tel.append(iterations, lam, residual=residual, shift=alpha,
-                   active=0 if converged else 1, force=True)
-        if recorder is not None:
-            recorder.add_telemetry(tel)
-    observe_solver_run("sshopm", time.perf_counter() - t0, iterations,
-                       int(converged), 1)
-    return SSHOPMResult(
-        eigenvalue=lam,
-        eigenvector=x,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        lambda_history=history,
-        telemetry=tel,
+    run = prepare(
+        "sshopm", tensor, tol=tol, max_iters=max_iters, kernels=kernels,
+        rng=rng, config=config, telemetry=telemetry, guards=guards,
+        tel_meta={"alpha": alpha}, counter=counter,
     )
+    x = start_vector(x0, tensor.n, run.rng)
+    lam, x, iterations, converged, residual, history, _ = run.iterate(
+        x, alpha, negate=alpha < 0, stop=stop)
+    return SSHOPMResult(lam, x, converged, iterations, residual, history,
+                        run.telemetry)

@@ -135,7 +135,7 @@ def test_result_protocol_members_exist():
     """Every result class advertises the shared protocol members."""
     from repro.core import FleetResult
     from repro.core.multistart import MultistartResult
-    from repro.core.sshopm import SSHOPMResult
+    from repro.solvers import SSHOPMResult
 
     for cls in (SSHOPMResult, MultistartResult, FleetResult):
         assert callable(getattr(cls, "eigenpairs"))

@@ -95,7 +95,7 @@ class TestMultistartBackend:
     def test_large_dimension_multistart(self, rng):
         """The scenario the paper's future work targets: many tensors of a
         size where unrolling is impossible."""
-        from repro.core.sshopm import suggested_shift
+        from repro.solvers import suggested_shift
 
         batch = random_symmetric_batch(6, 4, 10, rng=rng)
         # the conservative shift is provable but very slow at this size;

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.multistart import multistart_sshopm, starting_vectors
-from repro.core.sshopm import suggested_shift
+from repro.solvers import suggested_shift
 from repro.kernels.batched import ax_m1_batched
 from repro.kernels.cuda_emulator import compiler_available, emulate_cuda_sshopm
 from repro.symtensor.random import random_symmetric_batch

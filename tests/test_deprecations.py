@@ -116,6 +116,12 @@ class TestGeneratorAliases:
 
         assert catch(lambda: emit(3, 3, "unrolled")) == []
 
+    @pytest.mark.parametrize("module", ["repro.core.sshopm",
+                                        "repro.core.adaptive"])
+    def test_shim_modules_are_removed(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            import_module(module)
+
     def test_package_import_is_warning_free(self):
         """Merely importing repro.kernels must not trip the shims."""
         import subprocess
@@ -138,44 +144,9 @@ class TestGeneratorAliases:
 
 
 class TestCoreSolverShims:
-    """``repro.core.sshopm`` / ``repro.core.adaptive`` forward to
-    :mod:`repro.solvers` with a caller-blaming warning (PR 10)."""
-
-    def test_sshopm_module_attr_warns_and_forwards(self, tensor):
-        legacy_mod = import_module("repro.core.sshopm")
-        from repro.solvers.sshopm import sshopm as new_fn
-
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
-            fn = legacy_mod.sshopm
-        assert fn is new_fn
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = fn(tensor, alpha=5.0, rng=0, max_iters=30)
-        assert np.isfinite(res.eigenvalue)
-
-    def test_adaptive_module_attr_warns_and_forwards(self):
-        legacy_mod = import_module("repro.core.adaptive")
-        from repro.solvers.adaptive import adaptive_sshopm as new_fn
-
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
-            fn = legacy_mod.adaptive_sshopm
-        assert fn is new_fn
-
-    def test_from_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.solvers"):
-            from repro.core.sshopm import suggested_shift  # noqa: F401
-
-    def test_shim_warning_blames_this_file(self):
-        legacy_mod = import_module("repro.core.sshopm")
-
-        (record,) = catch(lambda: legacy_mod.sshopm)
-        assert record.filename == THIS_FILE
-
-    def test_unknown_attribute_still_raises(self):
-        legacy_mod = import_module("repro.core.sshopm")
-
-        with pytest.raises(AttributeError):
-            legacy_mod.no_such_solver
+    """``repro.core`` re-exports the solver *functions*; the old
+    ``repro.core.sshopm`` / ``repro.core.adaptive`` shim modules are gone,
+    so the names must resolve to the functions without any warning."""
 
     def test_package_reexports_stay_silent(self):
         """``from repro.core import sshopm`` (the *function*, via the
@@ -184,7 +155,7 @@ class TestCoreSolverShims:
         assert catch(lambda: repro.core.adaptive_sshopm) == []
 
     def test_package_import_is_warning_free(self):
-        """Merely importing repro.core must not trip the solver shims."""
+        """Merely importing repro.core must not warn."""
         import subprocess
         import sys
         import textwrap
@@ -198,7 +169,7 @@ class TestCoreSolverShims:
                    if issubclass(w.category, DeprecationWarning)
                    and "repro" in str(w.message)]
             assert not bad, bad
-            # the package attribute must stay the function, not the shim
+            # the package attribute is the function, not a module
             assert callable(repro.core.sshopm), type(repro.core.sshopm)
         """)
         proc = subprocess.run([sys.executable, "-c", script],

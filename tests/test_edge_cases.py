@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers import sshopm, suggested_shift
 from repro.kernels.batched import ax_m1_batched, ax_m_batched
 from repro.kernels.compressed import ax_m1_compressed, ax_m_compressed
 from repro.kernels.reference import ax_m1_dense, ax_m_dense

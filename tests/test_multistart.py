@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.multistart import multistart_sshopm, starting_vectors
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers import sshopm, suggested_shift
 from repro.symtensor.random import random_symmetric_batch, random_symmetric_tensor
 from repro.util.flopcount import FlopCounter
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import SolveConfig
-from repro.core.adaptive import adaptive_sshopm
+from repro.solvers import adaptive_sshopm
 from repro.core.multistart import multistart_sshopm
-from repro.core.sshopm import sshopm, suggested_shift
+from repro.solvers import sshopm, suggested_shift
 from repro.instrument.metrics import use_registry
 from repro.resilience import (
     CKPT_SCHEMA,

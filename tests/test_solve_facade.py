@@ -107,3 +107,102 @@ class TestReport:
         assert repro.solve is not None
         for name in ("solve", "SolveReport", "SolveRequest"):
             assert name in repro.__all__
+
+
+ROUTES = {
+    "sshopm": dict(alpha=6.0),
+    "adaptive_sshopm": dict(adaptive=True),
+    "geap": dict(method="geap"),
+    "qrst": dict(method="qrst"),
+    "multistart_sshopm": dict(starts=4, alpha=6.0),
+    "fleet_solve": dict(starts=4, alpha=6.0, batch=True),
+    "parallel_fleet_solve": dict(starts=4, alpha=6.0, batch=True, workers=2),
+}
+
+
+class TestDeadlineContract:
+    """Every route honours ``deadline=`` and ``SolveConfig.deadline``: a
+    deadline already past returns at once, unconverged, without error."""
+
+    @pytest.mark.parametrize("via", ["keyword", "config"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_past_deadline_returns_immediately(self, tensor, batch, route, via):
+        import time
+
+        from repro.core import SolveConfig
+
+        kw = dict(ROUTES[route])
+        problem = batch if kw.pop("batch", False) else tensor
+        past = time.time() - 1.0
+        if via == "keyword":
+            kw["deadline"] = past
+        else:
+            kw["config"] = SolveConfig(deadline=past)
+        report = repro.solve(problem, **kw)
+        assert report.solver == route
+        res = report.result
+        if getattr(res, "stopped", False):
+            return
+        done = res.sweeps if hasattr(res, "sweeps") else res.iterations
+        assert done == 0
+        assert not np.any(res.converged)
+
+
+    def test_deadline_and_stop_both_fire(self, tensor):
+        import time
+
+        report = repro.solve(tensor, alpha=6.0, deadline=time.time() - 1.0,
+                             stop=lambda: False)
+        assert report.result.iterations == 0
+        polls = []
+        report = repro.solve(tensor, alpha=6.0, deadline=time.time() + 60,
+                             stop=lambda: polls.append(1) or len(polls) > 2)
+        assert report.result.iterations == 2
+
+
+class TestSingleStartRetry:
+    """``config.retry`` re-runs the sshopm and adaptive single-start
+    routes, as it does geap and qrst."""
+
+    @staticmethod
+    def flaky_pair(m, n):
+        """Kernels whose first ``A x^{m-1}`` call returns NaN."""
+        from repro.kernels.dispatch import KernelPair, get_kernels
+
+        good = get_kernels("precomputed", m, n)
+        calls = []
+
+        def ax_m1(tensor, x):
+            calls.append(1)
+            y = np.asarray(good.ax_m1(tensor, x))
+            return np.full_like(y, np.nan) if len(calls) == 1 else y
+
+        return KernelPair(name="flaky", ax_m=good.ax_m, ax_m1=ax_m1)
+
+    @pytest.mark.parametrize("route", ["sshopm", "adaptive_sshopm"])
+    def test_flaky_kernels_recover_on_second_attempt(self, route):
+        from repro.core import SolveConfig
+        from repro.resilience import RetryOutcome, RetryPolicy
+
+        A = random_symmetric_tensor(3, 3, rng=4)
+        report = repro.solve(
+            A, rng=0, tol=1e-10, max_iters=300,
+            config=SolveConfig(retry=RetryPolicy(max_attempts=3)),
+            kernels=self.flaky_pair(3, 3), guards=True,
+            adaptive=route == "adaptive_sshopm",
+            **({"alpha": 4.0} if route == "sshopm" else {}),
+        )
+        assert report.solver == route
+        assert report.converged
+        assert isinstance(report.extra, RetryOutcome)
+        assert report.extra.attempts == 2
+        assert [f.reason for f in report.extra.failures] == ["nonfinite"]
+        assert report.extra.failures[0].solver == route
+
+    def test_no_policy_raises(self):
+        from repro.resilience.guards import SolveFailure
+
+        A = random_symmetric_tensor(3, 3, rng=4)
+        with pytest.raises(SolveFailure):
+            repro.solve(A, rng=0, alpha=4.0, kernels=self.flaky_pair(3, 3),
+                        guards=True)

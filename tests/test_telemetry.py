@@ -17,6 +17,7 @@ from repro.instrument.telemetry import (
     ConvergenceTelemetry,
     telemetry_enabled,
 )
+from repro.solvers import geap
 from repro.symtensor import random_symmetric_tensor
 from repro.symtensor.random import random_symmetric_batch
 
@@ -127,6 +128,23 @@ class TestSolverAttachment:
         assert tel.name == "adaptive_sshopm"
         shifts = tel.column("shift")[:-1]
         assert shifts and all(s >= 0.0 for s in shifts)  # mode="max" shifts
+        # the final record carries the last step's shift, as sshopm and
+        # geap's do
+        assert tel.column("shift")[-1] == shifts[-1]
+
+    @pytest.mark.parametrize("solver", [adaptive_sshopm, geap])
+    def test_shift_policies_charge_update_flops(self, tensor, solver):
+        """The shared loop charges the ``4n + 1`` update flops per step for
+        every shift policy, on top of the kernel flops."""
+        from tests.singlestart_reference import ref_adaptive_sshopm, ref_geap
+
+        ref = {adaptive_sshopm: ref_adaptive_sshopm, geap: ref_geap}[solver]
+        flops = []
+        for fn in (solver, ref):
+            with recording() as rec:
+                res = fn(tensor, rng=2, max_iters=100)
+            flops.append(rec.total("flops"))
+        assert flops[0] - flops[1] == res.iterations * (4 * tensor.n + 1)
 
     def test_multistart_aggregate_stream(self):
         batch = random_symmetric_batch(3, 3, 4, rng=3)
