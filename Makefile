@@ -53,8 +53,8 @@ fleet-bench:  ## process-vs-thread fleet executor gate (>=2x floor, O(result) IP
 serve-check:  ## serve control-plane latency budgets (admission, HTTP, drain)
 	python -m pytest -q benchmarks/bench_serve.py
 
-solver-check:  ## solver zoo: cross-method agreement + chaos faults on geap/qrst + single-start loop equivalence
-	python -m pytest -q tests/test_solver_zoo.py tests/test_singlestart_equivalence.py
+solver-check:  ## solver zoo: cross-method agreement + chaos faults on geap/qrst + loop equivalence + Hessian kernel
+	python -m pytest -q tests/test_solver_zoo.py tests/test_singlestart_equivalence.py tests/test_fleet_geap_equivalence.py tests/test_hessian_kernel.py
 
 bench-smoke:  ## fast benchmark subset -> BENCH_<stamp>.json at repo root
 	python -m repro.bench.harness --timeout 120

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.eigenpairs import Eigenpair, canonicalize_sign, eigen_residual
-from repro.kernels.compressed import ax_m1_compressed
 from repro.symtensor.indexing import index_table, multiplicity_table, sigma_table
 from repro.symtensor.storage import SymmetricTensor
 

@@ -6,8 +6,9 @@ once an iterate is near an eigenpair, Newton's method on the square system
     F(x, lambda) = [ A x^{m-1} - lambda x ;  (x.x - 1) / 2 ] = 0
 
 converges quadratically.  The Jacobian assembles from quantities the
-library already has: ``dF/dx = (m-1) A x^{m-2} - lambda I`` (the Hessian
-matrix of :mod:`repro.core.eigenpairs`) and ``dF/dlambda = -x``.
+library already has: ``dF/dx = (m-1) A x^{m-2} - lambda I`` (the plan's
+batched Hessian kernel :meth:`~repro.kernels.plan.KernelPlan.ax_m2`) and
+``dF/dlambda = -x``.
 
 Typical use: run multistart SS-HOPM with a loose tolerance (cheap sweeps),
 then polish the deduplicated pairs to machine precision in 3-5 Newton
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.eigenpairs import Eigenpair, eigen_residual, hessian_matrix
-from repro.kernels.compressed import ax_m1_compressed
+from repro.core.eigenpairs import Eigenpair
+from repro.kernels.plan import get_plan
 from repro.symtensor.storage import SymmetricTensor
 
 __all__ = ["NewtonResult", "newton_refine", "refine_pairs"]
@@ -69,8 +70,12 @@ def newton_refine(
     x /= norm
     lam = float(lam)
     n = tensor.n
+    plan = get_plan(tensor.m, n)
+    values = np.asarray(tensor.values, dtype=np.float64)
 
-    history = [eigen_residual(tensor, lam, x)]
+    # F's top block at the current (x, lambda) is also its residual
+    defect = plan.ax_m1(values, x) - lam * x
+    history = [float(np.linalg.norm(defect))]
     converged = history[-1] < tol
     iterations = 0
     for _ in range(max_iter):
@@ -78,10 +83,10 @@ def newton_refine(
             break
         iterations += 1
         F = np.empty(n + 1)
-        F[:n] = ax_m1_compressed(tensor, x) - lam * x
+        F[:n] = defect
         F[n] = 0.5 * (x @ x - 1.0)
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = hessian_matrix(tensor, x) - lam * np.eye(n)
+        J[:n, :n] = plan.ax_m2(values, x) - lam * np.eye(n)
         J[:n, n] = -x
         J[n, :n] = x
         try:
@@ -97,7 +102,8 @@ def newton_refine(
         if nrm == 0 or not np.isfinite(nrm):
             break
         x /= nrm
-        history.append(eigen_residual(tensor, lam, x))
+        defect = plan.ax_m1(values, x) - lam * x
+        history.append(float(np.linalg.norm(defect)))
         converged = history[-1] < tol
         if not np.isfinite(history[-1]):
             break

@@ -371,9 +371,12 @@ def _run_fleet(
         prev_delta = np.zeros(L)
         osc = np.zeros(L, dtype=np.int64)
     if geap_mode:
-        from repro.solvers.geap import projected_shift
+        import importlib
 
-        tensor_objs = [tensors[t] for t in range(T)]
+        # looked up as a module attribute at every sweep, so wrappers
+        # installed on ``repro.solvers.geap.projected_shift`` see each call
+        # (``repro.solvers.geap`` the attribute is the solver function)
+        _geap = importlib.import_module("repro.solvers.geap")
 
     # full-workload outputs, written as lanes retire; with ``out=`` these
     # are flat views over the caller's buffers instead of fresh arrays
@@ -425,14 +428,15 @@ def _run_fleet(
             sweeps += 1
             with _span("sweep"):
                 if geap_mode:
-                    # per-sweep projected-Hessian shift, one lane at a
-                    # time (the eigendecompositions dominate anyway)
-                    for i in np.flatnonzero(live):
-                        a = projected_shift(
-                            tensor_objs[tensor_of[i]],
-                            np.asarray(x[i], dtype=np.float64), tau, "max")
-                        if np.isfinite(a):
-                            alpha_lane[i] = a
+                    # per-sweep projected-Hessian shift of every live lane
+                    # in one call: one Hessian kernel, one stacked eigvalsh
+                    rows = np.flatnonzero(live)
+                    a = _geap.projected_shift(
+                        SymmetricTensorBatch(tensors.values[tensor_of[rows]],
+                                             m, n),
+                        np.asarray(x[rows], dtype=np.float64), tau, "max")
+                    ok = np.isfinite(a)
+                    alpha_lane[rows[ok]] = a[ok]
                 if uniform_shift:
                     x_new = y + alpha * x if alpha != 0.0 else y
                     if any_neg:

@@ -410,12 +410,14 @@ def _solve_single(request: SolveRequest, solver: str, x0, opts: dict):
     """One tensor, one start: ``sshopm``, ``adaptive_sshopm``, ``geap`` or
     ``qrst``.  With ``config.retry`` set, a retryable
     :class:`~repro.resilience.guards.SolveFailure` re-runs the solver
-    (from a fresh random start after the first attempt) under
+    (from a fresh random start after the first attempt: attempt ``k``
+    draws from ``spawn_rng(seed, k)`` when the seed is an integer) under
     :func:`~repro.resilience.retry.run_with_retry`, whose
     :class:`~repro.resilience.retry.RetryOutcome` becomes the report's
     ``extra``.  Returns ``(result, extra)``."""
     from repro.resilience.retry import run_with_retry
     from repro.solvers import adaptive_sshopm, geap, qrst, sshopm
+    from repro.util.rng import spawn_rng
 
     fn = {"sshopm": sshopm, "adaptive_sshopm": adaptive_sshopm,
           "geap": geap, "qrst": qrst}[solver]
@@ -426,10 +428,17 @@ def _solve_single(request: SolveRequest, solver: str, x0, opts: dict):
         kwargs["alpha"] = request.alpha
     if solver == "qrst":
         kwargs.pop("mode", None)  # QRST has no spectrum-target switch
+    seed = rng if rng is not None else getattr(config, "rng", None)
+    fresh_streams = (isinstance(seed, (int, np.integer))
+                     and not isinstance(seed, bool))
 
     def attempt(k: int):
         if solver != "qrst":
             kwargs["x0"] = x0 if k == 0 else None
+        if k > 0 and fresh_streams:
+            # an integer seed would redraw the identical start on every
+            # attempt; a Generator has already advanced on its own
+            kwargs["rng"] = spawn_rng(seed, k)
         return fn(request.problem, **kwargs)
 
     policy = config.retry if config is not None else None

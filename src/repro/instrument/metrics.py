@@ -72,6 +72,9 @@ __all__ = [
 METRICS_SCHEMA = "repro-metrics/1"
 
 _DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+#: points each gap between two P² markers is spread over when a batch is
+#: merged into a running estimator (:meth:`P2Quantile.observe_sorted`)
+_P2_SPREAD = 16
 
 
 def default_buckets() -> tuple[float, ...]:
@@ -141,6 +144,60 @@ class P2Quantile:
                     j = i + int(step)
                     h[i] += step * (h[j] - h[i]) / (self._pos[j] - self._pos[i])
                 self._pos[i] += step
+
+    def observe_sorted(self, values, counts) -> None:
+        """Fold a batch given as ascending distinct ``values`` with their
+        ``counts`` in one step, at O(distinct values) cost.
+
+        The markers jump to the order statistics of the merged sample at
+        their desired positions (interpolated like ``np.percentile``): the
+        batch enters exactly, the earlier sample through its markers, each
+        gap between two markers spread evenly over its height range.  On an
+        empty estimator the result is exact.
+        """
+        import numpy as np
+
+        values = np.asarray(values, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.float64)
+        total = self._n + int(counts.sum())
+        if total <= 5:
+            for v, c in zip(values, counts):
+                for _ in range(int(c)):
+                    self.observe(v)
+            return
+        h = self._heights
+        if self._n > 5:
+            # prior mass between markers i-1 and i, spread over that gap
+            frac = np.arange(1, _P2_SPREAD + 1) / _P2_SPREAD
+            gaps = np.diff(self._pos)
+            prior = np.concatenate(
+                [[h[0]], *(h[i - 1] + (h[i] - h[i - 1]) * frac
+                           for i in range(1, 5))])
+            weight = np.concatenate(
+                [[1.0], np.repeat(gaps / _P2_SPREAD, _P2_SPREAD)])
+        else:  # fewer than six: the heights are the sample itself
+            prior = np.asarray(h, dtype=np.float64)
+            weight = np.ones(len(h))
+        points = np.concatenate([prior, values])
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+        cum = np.cumsum(np.concatenate([weight, counts])[order])
+        ranks = 1.0 + (total - 1) * np.asarray(self._incr)
+
+        def at(rank):
+            i = np.minimum(np.searchsorted(cum, rank - 1e-9), points.size - 1)
+            return points[i]
+
+        lo = np.floor(ranks)
+        heights = at(lo) + (ranks - lo) * (at(lo + 1) - at(lo))
+        heights[0], heights[4] = points[0], points[-1]
+        self._heights = [float(v) for v in heights]
+        pos = [1.0, *np.round(ranks[1:4]), float(total)]
+        for i in (1, 2, 3):  # markers must keep strictly increasing slots
+            pos[i] = float(min(max(pos[i], pos[i - 1] + 1), total - 4 + i))
+        self._pos = pos
+        self._desired = [float(r) for r in ranks]
+        self._n = total
 
     def _parabolic(self, i: int, step: float) -> float:
         h, pos = self._heights, self._pos
@@ -352,13 +409,14 @@ class _HistogramSeries:
         self.sum += float(arr.sum())
         self.min = min(self.min, float(arr.min()))
         self.max = max(self.max, float(arr.max()))
-        idx = np.searchsorted(self.bounds, arr, side="left")
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.bucket_counts[int(i)] += int(c)
+        values, counts = np.unique(arr, return_counts=True)
+        buckets = np.bincount(np.searchsorted(self.bounds, values, side="left"),
+                              weights=counts, minlength=len(self.bucket_counts))
+        for i in np.flatnonzero(buckets):
+            self.bucket_counts[int(i)] += int(buckets[i])
         if self._p2_valid:
             for est in self._p2.values():
-                for v in arr:
-                    est.observe(float(v))
+                est.observe_sorted(values, counts)
 
     @property
     def mean(self) -> float:

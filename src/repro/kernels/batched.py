@@ -6,7 +6,9 @@ its own ``(tensor, vector)`` pair.  With NumPy, the equivalent of launching
 ``T x V`` threads is broadcasting: these kernels evaluate ``A x^m`` and
 ``A x^{m-1}`` for *all* leading-dimension combinations at once from the
 shared precomputed tables (one gather per tensor mode, one segmented
-reduction for the vector kernel).
+reduction for the vector kernel).  :func:`ax_m2_batched` extends the same
+scheme to the Hessian ``(m-1) A x^{m-2}`` (the Jacobian of ``A x^{m-1}``),
+the symmetric tensor-times-same-vector with two free modes.
 
 Conventions: ``values`` has shape ``(..., U)`` (unique entries last), ``x``
 has shape ``(..., n)``; leading dimensions broadcast against each other.
@@ -20,10 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.errors import TableInferenceError
-from repro.kernels.tables import KernelTables, kernel_tables
+from repro.kernels.tables import KernelTables, hessian_tables, kernel_tables
 from repro.util.flopcount import FlopCounter, null_counter
 
-__all__ = ["ax_m_batched", "ax_m1_batched", "infer_shape", "monomials_batched"]
+__all__ = [
+    "ax_m_batched",
+    "ax_m1_batched",
+    "ax_m2_batched",
+    "infer_shape",
+    "monomials_batched",
+]
 
 
 def monomials_batched(x: np.ndarray, tab: KernelTables) -> np.ndarray:
@@ -111,6 +119,39 @@ def ax_m1_batched(
     y = np.add.reduceat(contrib, tab.out_starts[:-1], axis=-1)
     counter.add_flops((int(np.size(y)) // tab.n) * (tab.num_rows * (m + 2)))
     return y
+
+
+def ax_m2_batched(
+    values: np.ndarray,
+    x: np.ndarray,
+    tables: KernelTables | None = None,
+    counter: FlopCounter | None = None,
+) -> np.ndarray:
+    """Batched Hessian ``(m-1) A x^{m-2}``: the symmetric ``n x n``
+    Jacobian of ``A x^{m-1}`` for every broadcast leading index.
+
+    Returns an array shaped ``broadcast(leading dims) + (n, n)``.  Only the
+    upper triangle is computed (:class:`~repro.kernels.tables.HessianTables`
+    rows, segment-reduced per pair) and mirrored by one gather.
+    """
+    counter = counter or null_counter()
+    values = np.asarray(values)
+    x = np.asarray(x)
+    tab = _resolve_tables(values, x, tables)
+    hes = hessian_tables(tab.m, tab.n)
+
+    if hes.row_factors.shape[1] == 0:
+        f = np.ones(x.shape[:-1] + (hes.num_rows,), dtype=x.dtype)
+    else:
+        f = x[..., hes.row_factors[:, 0]].copy()
+        for j in range(1, tab.m - 2):
+            f *= x[..., hes.row_factors[:, j]]
+    contrib = values[..., hes.row_class] * f
+    contrib *= hes.row_coef.astype(contrib.dtype)
+    upper = np.add.reduceat(contrib, hes.pair_starts[:-1], axis=-1)
+    counter.add_flops(int(np.prod(upper.shape[:-1], dtype=np.int64))
+                      * hes.num_rows * tab.m)
+    return upper[..., hes.pair]
 
 
 def infer_shape(values: np.ndarray, x: np.ndarray) -> tuple[int, int]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels.batched import infer_shape
+from repro.kernels.batched import ax_m2_batched, infer_shape
 from repro.kernels.dispatch import (
     _BATCHED_ALIASES,
     BatchedKernelPair,
@@ -117,6 +117,17 @@ class KernelPlan:
     def ax_m1(self, values: np.ndarray, x: np.ndarray, counter=None) -> np.ndarray:
         """Batched ``A x^{m-1}`` over broadcasting leading dimensions."""
         return self.suite.ax_m1(values, x, counter=counter)
+
+    def ax_m2(self, values: np.ndarray, x: np.ndarray, counter=None) -> np.ndarray:
+        """Batched Hessian ``(m-1) A x^{m-2}``, shaped ``(..., n, n)``.
+
+        The Jacobian of :meth:`ax_m1`, evaluated from the shape's table row
+        expansion (:func:`~repro.kernels.batched.ax_m2_batched`); it is the
+        same kernel on every variant and backend.
+        """
+        tables = self.tables if self.tables is not None else kernel_tables(
+            self.m, self.n)
+        return ax_m2_batched(values, x, tables, counter=counter)
 
     @property
     def key(self) -> tuple[int, int, str, str]:

@@ -35,7 +35,9 @@ from repro.symtensor.indexing import (
 from repro.util.combinatorics import factorial, multinomial1_from_index
 
 __all__ = [
+    "HessianTables",
     "KernelTables",
+    "hessian_tables",
     "kernel_tables",
     "prime_tables",
     "tables_from_arrays",
@@ -198,3 +200,64 @@ def kernel_tables(m: int, n: int) -> KernelTables:
         row_factors=row_factors,
         out_starts=out_starts,
     )
+
+
+@dataclass(frozen=True)
+class HessianTables:
+    """Row expansion of ``H = (m-1) A x^{m-2}``, the Jacobian of
+    ``A x^{m-1}``, over the upper triangle ``i <= j``.
+
+    ``H[i, j]`` is the sum over the rows of pair ``p = pair[i, j]`` of
+    ``row_coef * a[row_class] * prod(x[row_factors])``; rows are sorted by
+    pair so kernels segment-reduce with ``np.add.reduceat``.
+    """
+
+    m: int
+    n: int
+    row_class: np.ndarray  # (R2,) int64 — source index class
+    row_coef: np.ndarray  # (R2,) int64 — (m-1) * C(m-2; remaining factors)
+    row_factors: np.ndarray  # (R2, m-2) int64 — 0-based x-factor indices
+    pair_starts: np.ndarray  # (P+1,) int64 — reduceat segment boundaries
+    pair: np.ndarray  # (n, n) int64 — upper-triangle pair id of (i, j)
+
+    @property
+    def num_rows(self) -> int:
+        return self.row_class.shape[0]
+
+
+@lru_cache(maxsize=None)
+def hessian_tables(m: int, n: int) -> HessianTables:
+    """Build (and cache) the Hessian rows for ``R^[m,n]`` from the
+    :func:`kernel_tables` row expansion of ``A x^{m-1}``."""
+    tab = kernel_tables(m, n)
+    R, k = tab.row_factors.shape  # k = m - 1 factors per row
+    # d/dx_j of sigma * a_u * prod(f) = sigma * a_u * sum over positions p
+    # with f_p == j of prod(f without position p): one derived row per
+    # (row, position)
+    out = np.repeat(tab.row_out, k)
+    wrt = tab.row_factors.reshape(-1)
+    cls = np.repeat(tab.row_class, k)
+    sigma = np.repeat(tab.row_sigma, k)
+    rest = np.stack([np.delete(tab.row_factors, p, axis=1) for p in range(k)],
+                    axis=1).reshape(R * k, k - 1)
+    upper = out <= wrt
+    out, wrt, cls, sigma, rest = (a[upper] for a in (out, wrt, cls, sigma, rest))
+    # upper-triangle pair id in row-major order
+    pair = np.empty((n, n), dtype=np.int64)
+    iu = np.triu_indices(n)
+    pair[iu] = np.arange(iu[0].size)
+    pair[iu[1], iu[0]] = pair[iu]
+    # (i, j, class) fixes the remaining factor multiset: merge duplicates
+    key = pair[out, wrt] * tab.num_unique + cls
+    keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    coef = np.bincount(inverse, weights=sigma).astype(np.int64)
+    row_factors = np.ascontiguousarray(rest[first])
+    row_class = keys % tab.num_unique
+    starts = np.zeros(iu[0].size + 1, dtype=np.int64)
+    np.add.at(starts, keys // tab.num_unique + 1, 1)
+    starts = np.cumsum(starts)
+    for arr in (row_class, coef, row_factors, starts, pair):
+        arr.setflags(write=False)
+    return HessianTables(m=m, n=n, row_class=row_class, row_coef=coef,
+                         row_factors=row_factors, pair_starts=starts,
+                         pair=pair)

@@ -25,46 +25,51 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SolveConfig, reconcile_max_iters
-from repro.core.eigenpairs import hessian_matrix
+from repro.core.eigenpairs import hessian_matrix, tangent_eigenvalues
 from repro.instrument import span as _span
 from repro.kernels.dispatch import KernelPair
 from repro.solvers.scaffold import prepare, start_vector
 from repro.solvers.sshopm import SSHOPMResult
-from repro.symtensor.storage import SymmetricTensor
+from repro.symtensor.storage import SymmetricTensor, SymmetricTensorBatch
 
 __all__ = ["geap", "projected_shift", "tangent_hessian_eigenvalues"]
 
 
-def tangent_hessian_eigenvalues(tensor: SymmetricTensor, x: np.ndarray) -> np.ndarray:
+def tangent_hessian_eigenvalues(
+    tensor: SymmetricTensor | SymmetricTensorBatch, x: np.ndarray
+) -> np.ndarray:
     """Ascending eigenvalues of ``C(x) = (m-1) A x^{m-2}`` restricted to
     the tangent space of the unit sphere at ``x``.
 
-    The ``n = 1`` sphere has an empty tangent space; returns an empty
-    array there (any shift works).
+    ``tensor`` is a :class:`SymmetricTensor`, or a
+    :class:`~repro.symtensor.storage.SymmetricTensorBatch` with one tensor
+    per row of a stacked ``x (L, n)``; stacked iterates give ``(L, n-1)``
+    from one Hessian kernel call and one stacked ``eigvalsh``.  The
+    ``n = 1`` sphere has an empty tangent space (``n - 1 = 0``
+    eigenvalues: any shift works).
     """
     x = np.asarray(x, dtype=np.float64)
-    if tensor.n == 1:
-        return np.empty(0)
-    H = hessian_matrix(tensor, x)
-    # orthonormal tangent basis: left singular vectors of x beyond the first
-    u, _, _ = np.linalg.svd(x.reshape(-1, 1), full_matrices=True)
-    tangent = u[:, 1:]
-    restricted = tangent.T @ H @ tangent
-    restricted = 0.5 * (restricted + restricted.T)
-    return np.linalg.eigvalsh(restricted)
+    return tangent_eigenvalues(hessian_matrix(tensor, x), x)
 
 
-def projected_shift(tensor: SymmetricTensor, x: np.ndarray, tau: float,
-                    mode: str = "max") -> float:
-    """The GEAP shift at iterate ``x`` (see the module docstring)."""
+def projected_shift(tensor: SymmetricTensor | SymmetricTensorBatch,
+                    x: np.ndarray, tau: float,
+                    mode: str = "max") -> float | np.ndarray:
+    """The GEAP shift at iterate ``x`` (see the module docstring).
+
+    A single iterate ``x (n,)`` gives a float.  Stacked iterates
+    ``x (L, n)`` — against one shared tensor or a per-lane
+    :class:`~repro.symtensor.storage.SymmetricTensorBatch` — give an
+    ``(L,)`` array.  A lane whose Hessian is not finite gets NaN.
+    """
     evals = tangent_hessian_eigenvalues(tensor, x)
-    if evals.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(evals)):
-        return float("nan")
-    if mode == "max":
-        return max(0.0, tau - float(evals[0]))
-    return min(0.0, -(tau + float(evals[-1])))
+    if evals.shape[-1] == 0:
+        alpha = np.zeros(evals.shape[:-1])
+    elif mode == "max":
+        alpha = np.maximum(0.0, tau - evals[..., 0])
+    else:
+        alpha = np.minimum(0.0, -(tau + evals[..., -1]))
+    return float(alpha) if np.ndim(x) == 1 else alpha
 
 
 def geap(

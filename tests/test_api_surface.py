@@ -41,6 +41,7 @@ SIGNATURES = [
     "repro.kernels.get_kernels",
     "repro.kernels.plan.get_plan",
     "repro.kernels.plan.contract_many",
+    "repro.kernels.plan.KernelPlan.ax_m2",
     "repro.kernels.codegen.emit",
     "repro.kernels.codegen.get_emitter",
     "repro.kernels.codegen.register_emitter",

@@ -116,6 +116,34 @@ class TestHistogram:
         assert s1["count"] == s2["count"]
         assert s1["sum"] == pytest.approx(s2["sum"])
 
+    def test_observe_many_percentiles_close_to_exact(self):
+        # a fleet solve's per-lane iteration counts: many lanes, few
+        # distinct values
+        rng = np.random.default_rng(4)
+        data = rng.poisson(40, size=32768) + rng.integers(0, 300, 32768) // 50
+        h = Histogram("iters")
+        h.observe_many(data)
+        for q in (0.5, 0.9, 0.99):
+            exact = float(np.percentile(data, 100 * q))
+            assert h.percentile(q) == pytest.approx(exact, rel=0.1)
+        assert h.snapshot()["series"][0]["min"] == data.min()
+        assert h.snapshot()["series"][0]["max"] == data.max()
+
+    def test_observe_many_batches_track_running_percentiles(self):
+        rng = np.random.default_rng(5)
+        h = Histogram("h_seconds")
+        seen = []
+        for size in (3, 4, 1000, 7, 5000, 1, 20000):
+            batch = rng.uniform(0.001, 10.0, size=size)
+            h.observe_many(batch)
+            seen.append(batch)
+        h.observe(5.0)
+        data = np.concatenate(seen + [np.array([5.0])])
+        assert h.count == data.size
+        for q in (0.5, 0.9, 0.99):
+            exact = float(np.percentile(data, 100 * q))
+            assert h.percentile(q) == pytest.approx(exact, rel=0.1)
+
     def test_default_buckets_are_sorted_125(self):
         b = default_buckets()
         assert list(b) == sorted(b)

@@ -22,6 +22,7 @@ from repro.instrument import recording
 from repro.instrument.metrics import use_registry
 from repro.instrument.telemetry import COLUMNS
 from repro.kernels.dispatch import get_kernels
+from repro.kernels.plan import get_plan
 from repro.resilience.faults import nan_injecting_pair
 from repro.resilience.guards import SolveFailure
 from repro.solvers import adaptive_sshopm, geap, sshopm, suggested_shift
@@ -88,7 +89,12 @@ def metric_rows(registry):
 
 def observe(fn, tensor, **kw):
     """Run ``fn`` traced, in a fresh registry; return what it produced:
-    the result or the raised SolveFailure, spans, metrics, telemetry."""
+    the result or the raised SolveFailure, spans, metrics, telemetry.
+
+    The shape's kernel plan is built first, so both sides of a comparison
+    see plan-cache hits (a cold first call would add miss and disk-cache
+    series that say nothing about the solver)."""
+    get_plan(tensor.m, tensor.n)
     with use_registry() as reg, recording() as rec:
         try:
             out = fn(tensor, **kw)

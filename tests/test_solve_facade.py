@@ -199,6 +199,63 @@ class TestSingleStartRetry:
         assert [f.reason for f in report.extra.failures] == ["nonfinite"]
         assert report.extra.failures[0].solver == route
 
+    @pytest.mark.parametrize("route", ["sshopm", "adaptive_sshopm", "geap"])
+    def test_attempts_draw_distinct_starts(self, route):
+        from repro.core import SolveConfig
+        from repro.kernels.dispatch import KernelPair, get_kernels
+        from repro.resilience import RetryPolicy
+        from repro.resilience.retry import RetryExhausted
+
+        good = get_kernels("precomputed", 3, 3)
+        seen = []
+
+        def ax_m1(tensor, x):
+            seen.append(np.array(x, dtype=np.float64))
+            return np.full(3, np.nan)
+
+        A = random_symmetric_tensor(3, 3, rng=4)
+        with pytest.raises(RetryExhausted) as info:
+            repro.solve(
+                A, rng=0,
+                config=SolveConfig(retry=RetryPolicy(max_attempts=3)),
+                kernels=KernelPair("nan", good.ax_m, ax_m1), guards=True,
+                adaptive=route == "adaptive_sshopm",
+                **({"alpha": 4.0} if route == "sshopm" else {}),
+                **({"method": "geap"} if route == "geap" else {}),
+            )
+        assert info.value.attempts == 3
+        starts = np.unique(np.stack(seen), axis=0)
+        assert starts.shape[0] == len(seen) == 3
+
+    def test_start_dependent_failure_recovers(self):
+        """A start the kernels cannot handle fails attempt 1 only: the
+        retry draws a different start from the child stream."""
+        from repro.core import SolveConfig
+        from repro.kernels.dispatch import KernelPair, get_kernels
+        from repro.resilience import RetryOutcome, RetryPolicy
+
+        good = get_kernels("precomputed", 3, 3)
+        bad = []
+
+        def ax_m1(tensor, x):
+            x = np.asarray(x, dtype=np.float64)
+            if not bad:
+                bad.append(x.copy())  # the first attempt's start
+            if np.array_equal(x, bad[0]):
+                return np.full(3, np.nan)
+            return good.ax_m1(tensor, x)
+
+        A = random_symmetric_tensor(3, 3, rng=4)
+        report = repro.solve(
+            A, rng=0, alpha=4.0, tol=1e-10, max_iters=300,
+            config=SolveConfig(retry=RetryPolicy(max_attempts=3)),
+            kernels=KernelPair("start_dependent", good.ax_m, ax_m1),
+            guards=True,
+        )
+        assert report.converged
+        assert isinstance(report.extra, RetryOutcome)
+        assert report.extra.attempts == 2
+
     def test_no_policy_raises(self):
         from repro.resilience.guards import SolveFailure
 
